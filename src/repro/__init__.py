@@ -39,7 +39,9 @@ from repro.binary import Program, build_cfg
 from repro.campaign import Campaign
 from repro.compiler import CompileOptions, compile_program, compile_source
 from repro.config import Config, Policy, build_tree, dump_config, load_config
-from repro.instrument import InstrumentedProgram, instrument
+# ``instrument`` is the subpackage, callable as the instrument function.
+from repro import instrument
+from repro.instrument import InstrumentedProgram
 from repro.mpi import MultiRankRunner, run_mpi_program
 from repro.search import SearchEngine, SearchOptions, SearchResult
 from repro.telemetry import (

@@ -179,7 +179,7 @@ class _Channel:
     """Loop-side state for one campaign sharing the worker pool."""
 
     __slots__ = ("job_id", "tenant", "quantum", "deficit", "info", "events",
-                 "pending", "delayed", "batch", "leased")
+                 "pending", "delayed", "batch", "leased", "aborted")
 
     def __init__(self, job_id: str, tenant: str, quantum: float,
                  info: dict | None, events: deque) -> None:
@@ -195,6 +195,10 @@ class _Channel:
         self.delayed: list[_Task] = []
         self.batch: _Batch | None = None
         self.leased = 0             # tasks of this channel currently leased
+        #: why the channel was aborted (None = open).  Sticky: a batch
+        #: submitted after the abort fails at once instead of waiting
+        #: for an abort that already happened.
+        self.aborted: str | None = None
 
     def promote(self, now: float) -> None:
         """Move backoff-expired tasks back onto the pending queue."""
@@ -359,6 +363,7 @@ class _Coordinator:
         channel = self.channels.get(job_id)
         if channel is None:
             return False
+        channel.aborted = why
         for task in list(self.tasks.values()):
             if task.job != job_id:
                 continue
@@ -381,6 +386,11 @@ class _Coordinator:
         channel = self.channels.get(job_id)
         if channel is None:
             raise ClusterError(f"no channel {job_id!r}")
+        if channel.aborted is not None:
+            # The abort already ran (e.g. a cancel that landed between
+            # the engine's open check and this batch): nothing would
+            # ever abort the batch registered here.
+            raise JobCancelled(f"{job_id or 'search'}: {channel.aborted}")
         loop = asyncio.get_running_loop()
         batch = _Batch(len(payload), loop)
         channel.batch = batch

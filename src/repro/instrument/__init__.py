@@ -13,6 +13,9 @@ This package implements Sections 2.3 and 2.4 of the paper:
   :class:`~repro.config.model.Config` to a rewritten program.
 """
 
+import sys
+import types
+
 from repro.instrument.cache import InstrumentCache
 from repro.instrument.engine import (
     InstrumentedProgram,
@@ -20,6 +23,21 @@ from repro.instrument.engine import (
     instrument,
 )
 from repro.instrument.snippets import SnippetStats
+
+
+class _CallablePackage(types.ModuleType):
+    """This package, callable as :func:`instrument`.
+
+    ``from repro import instrument`` yields the package itself (binding
+    the function under the package's name would hide the subpackage, so
+    ``import repro.instrument.cache`` could no longer resolve); calling
+    it instruments, as the quickstart and the examples do."""
+
+    def __call__(self, *args, **kwargs) -> InstrumentedProgram:
+        return instrument(*args, **kwargs)
+
+
+sys.modules[__name__].__class__ = _CallablePackage
 
 __all__ = [
     "InstrumentCache",

@@ -49,7 +49,7 @@ from repro.config.model import Policy
 from repro.instrument.dataflow import block_precleaned
 from repro.instrument.rewriter import _addr_label, _emit_instruction
 from repro.instrument.snippets import DEFAULT_WIDTHS, SnippetStats
-from repro.isa.encode import encode_instruction
+from repro.isa.encode import decoded_operand, encode_instruction
 from repro.isa.instruction import Instruction
 from repro.isa.operands import Imm, KIND_IMM, KIND_MEM, KIND_REG, KIND_XMM
 
@@ -59,6 +59,9 @@ _M64 = 0xFFFFFFFFFFFFFFFF
 _REL_LOCAL = 0
 _REL_ADDR = 1
 _REL_FUNC = 2
+
+#: a label operand's slot before relocation
+_ZERO = Imm(0)
 
 
 class _TemplateBuilder:
@@ -104,6 +107,10 @@ class BlockTemplate:
 
     #: encoded block code with every label operand's payload zeroed
     code: bytes
+    #: the instructions ``code`` encodes, exactly as decoding it would
+    #: return them (template-relative ``addr``, label operands as the
+    #: zeroed ``Imm``); the VM compiles from these instead of decoding
+    instrs: tuple
     #: (payload offset, kind, value) — 8-byte LE patches at assembly time
     relocs: tuple
     #: (original instruction address, template-relative offset)
@@ -156,6 +163,7 @@ def build_block_template(
 
     # Encoding pass: zero label payloads, record their patch positions.
     chunks: list[bytes] = []
+    instrs: list = []
     relocs: list = []
     lines: list = []
     for opcode, operands, line, off in pending:
@@ -171,18 +179,21 @@ def build_block_template(
                     relocs.append((off + payload + 1, _REL_ADDR, int(name[2:], 16)))
                 else:
                     relocs.append((off + payload + 1, _REL_FUNC, name))
-                resolved.append(Imm(0))
+                resolved.append(_ZERO)
             else:
-                resolved.append(operand)
+                resolved.append(decoded_operand(operand))
             payload += _operand_width(operand)
-        raw = encode_instruction(Instruction(opcode, tuple(resolved)))
+        instr = Instruction(opcode, tuple(resolved), addr=off)
+        raw = encode_instruction(instr)
         assert len(raw) == payload, "layout/encoding width mismatch"
         if line:
             lines.append((off, line))
         chunks.append(raw)
+        instrs.append(instr)
 
     return BlockTemplate(
         code=b"".join(chunks),
+        instrs=tuple(instrs),
         relocs=tuple(relocs),
         defs=tuple((instr.addr, label_off[_addr_label(instr.addr)])
                    for instr in block.instructions),
@@ -197,8 +208,9 @@ class CachedRewrite:
 
     program: Program
     stats: SnippetStats
-    #: ordered (template code bytes, base address) pairs tiling the text;
-    #: the VM's compiled-closure cache keys on the (unpatched) code bytes
+    #: ordered (BlockTemplate, base address) pairs tiling the text; the
+    #: VM's compiled-closure cache keys on each template's (unpatched)
+    #: code bytes and compiles from its instructions
     segments: tuple
     block_hits: int
     block_misses: int
@@ -354,7 +366,7 @@ class InstrumentCache:
         return CachedRewrite(
             program=new_program,
             stats=stats,
-            segments=tuple((template.code, base) for template, base in order),
+            segments=tuple(order),
             block_hits=hits,
             block_misses=misses,
         )

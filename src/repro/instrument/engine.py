@@ -49,9 +49,10 @@ class InstrumentedProgram:
     config: Config
     stats: SnippetStats
     snippeted: bool
-    #: ordered (template bytes, base address) pairs tiling the text when
+    #: ordered (BlockTemplate, base address) pairs tiling the text when
     #: the program came out of an :class:`InstrumentCache`; the VM's
-    #: compiled-closure cache keys on these.  ``None`` on the cold path.
+    #: compiled-closure cache keys on the templates' bytes and compiles
+    #: from their instructions.  ``None`` on the cold path.
     segments: tuple | None = None
 
     @property

@@ -49,6 +49,22 @@ def _imm_to_signed(value: int) -> int:
     return value - (1 << 64) if value >= (1 << 63) else value
 
 
+def decoded_operand(op):
+    """*op* exactly as :func:`decode_operand` returns it after encoding:
+    immediates and displacements normalized to signed i64.  Callers that
+    keep the instructions they encode (the block templates) hand these
+    to the VM in place of a decode."""
+    kind = op.kind
+    if kind == KIND_IMM:
+        value = _imm_to_signed(op.value)
+        return op if value == op.value else Imm(value)
+    if kind == KIND_MEM:
+        disp = _imm_to_signed(op.disp)
+        if disp != op.disp:
+            return Mem(base=op.base, index=op.index, scale=op.scale, disp=disp)
+    return op
+
+
 def encode_operand(op) -> bytes:
     kind = op.kind
     if kind == KIND_REG or kind == KIND_XMM:

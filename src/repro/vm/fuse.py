@@ -894,7 +894,8 @@ _MEMBER_OPS = (
 )
 
 
-def _vm_state(vm) -> tuple:
+def vm_state(vm) -> tuple:
+    """The VM-bound leading arguments of every run factory."""
     return (
         vm.gpr, vm.mem, vm.xmm_lo, vm.xmm_hi, vm.flags, vm.outputs,
         vm.rng, vm._cyc, vm._sl, vm.stack_limit, len(vm.mem),
@@ -975,6 +976,8 @@ def _scan_span(vm, lo: int, hi: int, leaders) -> list:
                     branch_extra,
                 )
                 factories[key] = factory
+                if factory is not None:
+                    vm.load_fused += 1
             elif factory is not None:
                 vm.fuse_hits += 1
             if factory is not None:
@@ -1019,9 +1022,8 @@ def _instantiate(vm, fcode, covered, lo: int, part, state, halt) -> None:
                     vm._branch_index(instrs[ti].operands[0], addrs[ti]),
                 )
         fcode[start] = factory(*state, targets, rank, size, halt)
-        if covered is not None:
-            for c in range(start, start + k_total):
-                covered[c] = 1
+        for c in range(start, start + k_total):
+            covered[c] = 1
 
 
 def build_fcode(vm, bounds, halt) -> tuple[list, bytearray]:
@@ -1039,7 +1041,7 @@ def build_fcode(vm, bounds, halt) -> tuple[list, bytearray]:
     n = len(instrs)
     fcode: list = [None] * n
     covered = bytearray(n)
-    state = _vm_state(vm)
+    state = vm_state(vm)
     # Basic-block leaders: every branch/call target starts its own run,
     # so dynamic control transfers always land on a fused head instead
     # of single-stepping through a run interior.
@@ -1061,44 +1063,19 @@ def build_fcode(vm, bounds, halt) -> tuple[list, bytearray]:
     return fcode, covered
 
 
-def build_fcode_cached(vm, spans, partitions: dict, halt) -> list:
-    """Segment-path variant of :func:`build_fcode` with memoized runs.
+def scan_segment(vm, seg_bytes: bytes, lo: int, hi: int, leaders,
+                 partitions: dict) -> list:
+    """Scan the fused runs of a segment template placed at ``[lo, hi)``
+    and record its partition in *partitions* under the template bytes.
 
-    ``spans`` is the load's ``(seg_bytes, lo, hi)`` tiling and
-    ``partitions`` the compiled-segment cache's template-keyed partition
-    store.  A segment template's run partition depends only on its own
+    A segment template's run partition depends only on its own
     instruction sequence: member operands are final in the template
     bytes, terminator *targets* stay outside the partition, and interior
     run leaders can only come from the segment's own branches (original
     branches target block starts — segment heads — and snippet branches
-    are intra-block).  So the scan runs once per template and every
-    rebind merely re-resolves targets and re-binds factories.
-
-    Run interiors are never marked for lazy compilation here: the
-    segment path shares reference closures through the compiled-segment
-    cache, which must stay fully populated.
+    are intra-block).  So the loader scans once per template and every
+    later placement only re-binds the runs whose terminator targets
+    moved (see ``VM._retarget``).
     """
-    instrs = vm._instrs
-    a2i = vm._addr2idx
-    n = len(instrs)
-    fcode: list = [None] * n
-    state = _vm_state(vm)
-    terms = _TERMINATORS
-    for seg_bytes, lo, hi in spans:
-        part = partitions.get(seg_bytes)
-        if part is None:
-            leaders = set()
-            for i in range(lo, hi):
-                ins = instrs[i]
-                op = ins.opcode
-                if op in terms and op is not Op.RET:
-                    t = a2i.get(ins.operands[0].value)
-                    if t is not None and lo < t < hi:
-                        leaders.add(t)
-            part = _scan_span(vm, lo, hi, leaders)
-            partitions[seg_bytes] = part
-        else:
-            vm.fuse_hits += len(part)
-        if part:
-            _instantiate(vm, fcode, None, lo, part, state, halt)
-    return fcode
+    part = partitions[seg_bytes] = _scan_span(vm, lo, hi, leaders)
+    return part

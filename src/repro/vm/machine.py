@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.binary.model import Program
@@ -228,25 +229,33 @@ def _irem(a: int, b: int) -> int:
     return r & _M64
 
 
-#: memo for :func:`_static_cost`.  The cost is a pure function of
-#: (opcode, operands, model) — all hashable and drawn from a small set of
-#: shapes that repeat across every rewrite of the same program — so one
-#: dict hit replaces the cost-table lookup and operand scan.
+#: cost model -> {(opcode, operands): fall-through cost}.  The cost is a
+#: pure function of (opcode, operands, model) — all hashable and drawn
+#: from a small set of shapes that repeat across every rewrite of the
+#: same program — so one dict hit replaces the cost-table lookup and
+#: operand scan.  The model (a frozen dataclass whose hash walks every
+#: field) is hashed once per call through the outer dict.
 _COST_CACHE: dict = {}
 
 
-def _static_cost(instr: Instruction, model: CostModel) -> int:
-    """Fall-through cycle cost of one instruction (position-independent)."""
-    key = (instr.opcode, instr.operands, model)
-    cost = _COST_CACHE.get(key)
-    if cost is None:
-        info = OPCODE_INFO[instr.opcode]
-        cost = model.op_cost(instr.opcode)
-        for o in instr.operands:
-            if isinstance(o, Mem):
-                cost += model.mem_cost(info.mem_width, o.base == 14)
-        _COST_CACHE[key] = cost
-    return cost
+def _static_costs(instrs, model: CostModel) -> list[int]:
+    """Fall-through cycle cost of each of *instrs* (position-independent)."""
+    table = _COST_CACHE.get(model)
+    if table is None:
+        table = _COST_CACHE[model] = {}
+    out = []
+    for instr in instrs:
+        key = (instr.opcode, instr.operands)
+        cost = table.get(key)
+        if cost is None:
+            info = OPCODE_INFO[instr.opcode]
+            cost = model.op_cost(instr.opcode)
+            for o in instr.operands:
+                if isinstance(o, Mem):
+                    cost += model.mem_cost(info.mem_width, o.base == 14)
+            table[key] = cost
+        out.append(cost)
+    return out
 
 
 def _harvest_blocks(program: Program) -> list[Instruction] | None:
@@ -276,34 +285,60 @@ def _harvest_blocks(program: Program) -> list[Instruction] | None:
     return out if offset == len(program.text) else None
 
 
-class _SegInstr:
-    """One instruction of a cached segment.
+#: jmp / jcc / call: the transfers whose closures embed a resolved target.
+_TRANSFERS = frozenset(
+    op for op, info in OPCODE_INFO.items() if info.is_branch or info.is_call
+)
 
-    ``cacheable`` is False exactly for control-flow transfers (jmp / jcc /
-    call): their closures embed resolved target indices and return
-    addresses, which depend on where the segment landed in the final
-    layout.  Everything else advances ``idx + 1`` relative to wherever it
-    sits, so its compiled closure can be reused verbatim."""
+#: byte offset of a transfer's 8-byte target inside its encoding (u16
+#: opcode, u8 operand count, then the ``Imm`` kind tag).
+_TARGET_AT = 4
 
-    __slots__ = ("instr", "off", "cost", "cacheable", "closure")
 
-    def __init__(self, instr: Instruction, off: int, cost: int, cacheable: bool) -> None:
-        self.instr = instr
-        self.off = off
-        self.cost = cost
-        self.cacheable = cacheable
-        self.closure = None
+class _Segment:
+    """One segment template in columns, shared by every load placing it.
+
+    ``instrs`` is the template's own instruction tuple; ``offs`` and
+    ``costs`` are its template-relative byte offsets and static costs.
+    ``code`` holds one closure per instruction (None until the first
+    load compiles the template): every non-transfer closure advances
+    ``idx + 1`` relative to wherever it sits, so it is reused verbatim,
+    and a closure inside a fused run starts as a lazy stand-in that
+    writes its compiled self back here on first dispatch.  Transfers
+    (``transfers``, relative indices) embed resolved targets, so each
+    keeps the ``keys`` it was built for and is rebuilt only when a load
+    resolves it differently.  ``fcode`` is the relative fused-dispatch
+    column; ``heads`` maps a transfer that terminates a fused run to that
+    run's ``(head, factory)``, re-bound along with the transfer.
+    """
+
+    __slots__ = ("instrs", "offs", "costs", "transfers", "code", "keys",
+                 "fcode", "heads", "runs")
+
+    def __init__(self, instrs: tuple, model: CostModel) -> None:
+        self.instrs = instrs
+        self.offs = tuple([ins.addr for ins in instrs])
+        self.costs = tuple(_static_costs(instrs, model))
+        self.transfers = tuple(
+            [rel for rel, ins in enumerate(instrs) if ins.opcode in _TRANSFERS]
+        )
+        self.code: list | None = None
+        self.keys: list = []
+        self.fcode: list | None = None
+        self.heads: dict = {}
+        self.runs = 0
 
 
 class CompiledSegmentCache:
     """Compiled-closure cache keyed by a segment's *unpatched* bytes.
 
-    The instrumentation cache hands the VM the template byte string of
-    every block it assembled (relocation payloads still zeroed).  Those
-    bytes are a sound content key: two occurrences decode to the same
-    instruction sequence, and the only operands that differ after
-    patching belong to the non-cacheable control-flow transfers, which
-    are re-decoded from the patched text and rebuilt on every load.
+    The instrumentation cache hands the VM every block template it
+    assembled: the template bytes (relocation payloads still zeroed) and
+    the instruction tuple they encode.  Those bytes are a sound content
+    key: two occurrences hold the same instruction sequence, and the only
+    operands that differ after patching are the targets of control-flow
+    transfers, which each load reads from the patched text.  An entry is
+    built from the template's own instructions, so nothing is decoded.
 
     Closures capture one VM's state arrays by reference, so a cache is
     bound to a single VM for its whole life (:class:`Machine` enforces
@@ -314,40 +349,20 @@ class CompiledSegmentCache:
         self.cost_model = cost_model or DEFAULT_COST_MODEL
         self.hits = 0
         self.misses = 0
-        self._segments: dict[bytes, list[_SegInstr]] = {}
-        #: template bytes -> fused-run partition (see fuse.build_fcode_cached);
-        #: sound per-template for the same reason the closure cache is, and
-        #: safe to share across loads because terminator targets stay out.
+        self._segments: dict[bytes, _Segment] = {}
+        #: template bytes -> fused-run partition (see fuse.scan_segment)
         self._fuse_partitions: dict[bytes, list] = {}
 
-    def lookup(self, seg_bytes: bytes) -> list[_SegInstr]:
-        entry = self._segments.get(seg_bytes)
+    def lookup(self, template) -> _Segment:
+        entry = self._segments.get(template.code)
         if entry is None:
             self.misses += 1
-            entry = self._decode_segment(seg_bytes)
-            self._segments[seg_bytes] = entry
+            entry = self._segments[template.code] = _Segment(
+                template.instrs, self.cost_model
+            )
         else:
             self.hits += 1
         return entry
-
-    def _decode_segment(self, seg_bytes: bytes) -> list[_SegInstr]:
-        out: list[_SegInstr] = []
-        model = self.cost_model
-        offset = 0
-        n = len(seg_bytes)
-        while offset < n:
-            instr, size = decode_instruction(seg_bytes, offset)
-            info = OPCODE_INFO[instr.opcode]
-            out.append(
-                _SegInstr(
-                    instr,
-                    offset,
-                    _static_cost(instr, model),
-                    not (info.is_call or info.is_branch),
-                )
-            )
-            offset += size
-        return out
 
 
 class VM:
@@ -446,6 +461,12 @@ class VM:
         self._fcode = None
         self.fuse_hits = 0
         self.fuse_misses = 0
+        #: load work, cumulative: instructions decoded from text,
+        #: closures compiled and fused runs exec-compiled while loading
+        #: (lazy closures built on first dispatch are not load work).
+        self.load_decoded = 0
+        self.load_closures = 0
+        self.load_fused = 0
 
         self._data_image0 = list(program.data_image)
         self._stack_zero = [0] * stack_words
@@ -459,6 +480,11 @@ class VM:
         #: census; never consulted by the execution loop.
         self._inst_costs: list[int] = []
         self._code: list = []
+        #: the one bound stand-in every deferred closure slot holds
+        self._deferred = self._lazy
+        #: segment path: each placed segment's cache entry and first index
+        self._seg_entries: list = []
+        self._seg_starts: list = []
         self._load(program, segments)
 
     # -- public API -----------------------------------------------------------
@@ -733,11 +759,12 @@ class VM:
         """(Re)compile *program* into the closure array.
 
         When *segments* (the instrumentation cache's template tiling) and
-        a :class:`CompiledSegmentCache` are both present, position-
-        independent closures are fetched from the cache and only
-        control-flow transfers are re-decoded from the patched text and
-        rebuilt.  Otherwise every instruction is decoded and compiled
-        fresh, exactly as the original single-program VM did.
+        a :class:`CompiledSegmentCache` are both present, each segment is
+        laid out from its cached columns and only templates never seen
+        before are compiled; transfers read their targets from the
+        patched text and are rebuilt only when those moved.  Otherwise
+        every instruction is decoded and compiled fresh, exactly as the
+        original single-program VM did.
         """
         self.program = program
         instrs = self._instrs
@@ -753,7 +780,8 @@ class VM:
         bounds: list[int] = [0]
         fuse_here = self._fused and self._observer is None
         if segments is None or cache is None:
-            model = self.cost_model
+            self._seg_entries = []
+            self._seg_starts = []
             harvested = _harvest_blocks(program)
             if harvested is not None:
                 # The linker just decoded these instructions; reuse them
@@ -762,7 +790,6 @@ class VM:
                     a2i[instr.addr] = len(instrs)
                     instrs.append(instr)
                     addrs.append(instr.addr)
-                    costs.append(_static_cost(instr, model))
             else:
                 offset = 0
                 n = len(text)
@@ -771,8 +798,9 @@ class VM:
                     a2i[offset] = len(instrs)
                     instrs.append(instr)
                     addrs.append(offset)
-                    costs.append(_static_cost(instr, model))
                     offset += size
+                self.load_decoded += len(instrs)
+            costs = _static_costs(instrs, self.cost_model)
             self._inst_costs = costs
             self._counts = [0] * len(instrs)
             covered = None
@@ -787,63 +815,51 @@ class VM:
                 # Instructions inside fused runs compile their reference
                 # closure lazily — only deopt paths (mid-run resume,
                 # budget tail, profile loop) ever dispatch through them.
-                lazy = self._lazy
+                deferred = self._deferred
                 self._code = [
-                    lazy(i) if covered[i] else build(i)
+                    deferred if covered[i] else build(i)
                     for i in range(len(instrs))
                 ]
+                self.load_closures += len(instrs) - sum(covered)
             else:
                 self._code = [build(i) for i in range(len(instrs))]
+                self.load_closures += len(instrs)
         else:
-            entries: list[list[_SegInstr]] = []
-            spans: list[tuple[bytes, int, int]] = []
+            # Pass 1: lay every segment out from its cached columns.
+            entries = self._seg_entries = []
+            starts = self._seg_starts = []
             expect = 0
-            for seg_bytes, base in segments:
+            for template, base in segments:
                 if base != expect:
                     raise ValueError("segments do not tile the text section")
-                expect += len(seg_bytes)
-                entry = cache.lookup(seg_bytes)
+                expect += len(template.code)
+                entry = cache.lookup(template)
                 entries.append(entry)
-                lo = len(instrs)
-                if lo:
-                    bounds.append(lo)
-                for si in entry:
-                    a2i[base + si.off] = len(instrs)
-                    instrs.append(si.instr)
-                    addrs.append(base + si.off)
-                    costs.append(si.cost)
-                spans.append((seg_bytes, lo, len(instrs)))
+                starts.append(len(instrs))
+                instrs += entry.instrs
+                addrs += [base + off for off in entry.offs]
+                costs += entry.costs
             if expect != len(text):
                 raise ValueError("segments do not tile the text section")
+            a2i.update(zip(addrs, range(len(addrs))))
             self._inst_costs = costs
             self._counts = [0] * len(instrs)
-            code: list = []
-            build = self._build
-            i = 0
-            for entry in entries:
-                for si in entry:
-                    if si.cacheable:
-                        closure = si.closure
-                        if closure is None:
-                            closure = si.closure = build(i)
-                    else:
-                        # Target operands were patched at assembly time;
-                        # decode the real instruction from the final text.
-                        instr, _size = decode_instruction(text, addrs[i])
-                        instrs[i] = instr
-                        closure = build(i)
-                    code.append(closure)
-                    i += 1
-            self._code = code
+            # Pass 2: bind closures (targets resolve against the full
+            # layout); compile only templates seen for the first time.
+            code = self._code = []
+            fcode: list | None = [] if fuse_here else None
+            for (template, _base), entry, lo in zip(segments, entries, starts):
+                if entry.code is None:
+                    self._compile_segment(entry, lo, template.code, text)
+                else:
+                    if entry.transfers:
+                        self._retarget(entry, lo, text)
+                    self.fuse_hits += entry.runs
+                code += entry.code
+                if fcode is not None:
+                    fcode += entry.fcode
             # Fused superinstruction dispatch (see repro.vm.fuse).
-            # Observed VMs never fuse: wrappers must see every dispatch.
-            if fuse_here:
-                fcode = fuse.build_fcode_cached(
-                    self, spans, cache._fuse_partitions, _HALT
-                )
-                self._fcode = fcode if any(fcode) else None
-            else:
-                self._fcode = None
+            self._fcode = fcode if fcode is not None and any(fcode) else None
         observer = self._observer
         if observer is not None:
             code = self._code
@@ -853,18 +869,126 @@ class VM:
                     code[i] = wrapped
         self._entry_idx = a2i[program.entry]
 
-    def _lazy(self, i: int):
-        """Deferred compile: a stand-in closure that builds instruction
-        *i*'s reference closure on its first dispatch and replaces
-        itself.  Only instructions covered by a fused run get one, and
-        fusion already validated their shape, so the deferral never
-        hides a load-time error."""
+    def _target_key(self, i: int, text: bytes) -> tuple:
+        """Resolved targets of transfer *i*, read from the patched text:
+        ``(target index,)``, plus the return address for a call."""
+        iaddr = self._instr_addrs[i]
+        dest = int.from_bytes(
+            text[iaddr + _TARGET_AT : iaddr + _TARGET_AT + 8], "little",
+            signed=True,
+        )
+        target = self._addr2idx.get(dest)
+        if target is None:
+            raise VmTrap(f"branch to non-instruction address {dest:#x}", iaddr)
+        if self._instrs[i].opcode is Op.CALL:
+            addrs = self._instr_addrs
+            return (target, addrs[i + 1] if i + 1 < len(addrs) else -1)
+        return (target,)
 
-        def shim(idx):
-            closure = self._code[i] = self._build(i)
-            return closure(idx)
+    def _retarget(self, entry: _Segment, lo: int, text: bytes) -> None:
+        """Re-resolve a cached segment's transfers for this placement and
+        rebuild just the closures (and fused runs) whose targets moved."""
+        keys = entry.keys
+        for k, rel in enumerate(entry.transfers):
+            key = self._target_key(lo + rel, text)
+            if key != keys[k]:
+                entry.code[rel] = self._transfer(lo + rel, key)
+                self.load_closures += 1
+                head = entry.heads.get(rel)
+                if head is not None:
+                    entry.fcode[head[0]] = self._bind_run(head[1], key)
+                keys[k] = key
 
-        return shim
+    def _compile_segment(
+        self, entry: _Segment, lo: int, seg_bytes: bytes, text: bytes
+    ) -> None:
+        """First placement of a template: scan its fused runs, compile its
+        closures (run interiors lazily) and fill the entry's columns."""
+        n = len(entry.instrs)
+        hi = lo + n
+        transfers = entry.transfers
+        part: list = []
+        covered = bytes(n)
+        if self._fused:
+            # Interior run leaders can only be the segment's own branch
+            # targets (see fuse.scan_segment); unresolvable ones trap in
+            # the compile loop below.
+            a2i = self._addr2idx
+            addrs = self._instr_addrs
+            leaders = set()
+            for rel in transfers:
+                iaddr = addrs[lo + rel] + _TARGET_AT
+                t = a2i.get(
+                    int.from_bytes(text[iaddr : iaddr + 8], "little", signed=True)
+                )
+                if t is not None and lo < t < hi:
+                    leaders.add(t)
+            part = fuse.scan_segment(
+                self, seg_bytes, lo, hi, leaders,
+                self._segment_cache._fuse_partitions,
+            )
+            covered = bytearray(n)
+            for rel, k_total, _term, _op, _factory in part:
+                covered[rel : rel + k_total] = b"\1" * k_total
+        code: list = [None] * n
+        keys: dict = {}
+        build = self._build
+        deferred = self._deferred
+        is_transfer = set(transfers)
+        lazies = 0
+        for rel in range(n):
+            i = lo + rel
+            if rel in is_transfer:
+                key = keys[rel] = self._target_key(i, text)
+                code[rel] = self._transfer(i, key)
+            elif covered[rel]:
+                code[rel] = deferred
+                lazies += 1
+            else:
+                code[rel] = build(i)
+        self.load_closures += n - lazies
+        fcode = None
+        heads = {}
+        if self._fused:
+            fcode = [None] * n
+            for rel, _k, term, term_op, factory in part:
+                targets = () if term < 0 or term_op is Op.RET else keys[term]
+                fcode[rel] = self._bind_run(factory, targets)
+                if targets:
+                    heads[term] = (rel, factory)
+        entry.keys = [keys[rel] for rel in transfers]
+        entry.heads = heads
+        entry.fcode = fcode
+        entry.runs = len(part)
+        entry.code = code
+
+    def _bind_run(self, factory, targets: tuple):
+        """Instantiate one fused run's factory for this VM."""
+        return factory(
+            *fuse.vm_state(self), targets, self.rank, self.size, _HALT
+        )
+
+    def _lazy(self, idx: int):
+        """Deferred compile: the shared stand-in for the closure of an
+        instruction inside a fused run.  On its first dispatch it builds
+        the reference closure, installs it in the live closure array and,
+        on the segment path, writes it through to the cached segment's
+        column so later loads reuse it.  Only deopt paths (mid-run resume,
+        budget tail, profile loop) ever dispatch a run interior, and
+        fusion already validated its shape, so the deferral never hides a
+        load-time error."""
+        starts = self._seg_starts
+        if starts:
+            k = bisect_right(starts, idx) - 1
+            column = self._seg_entries[k].code
+            rel = idx - starts[k]
+            closure = column[rel]
+            if closure is self._deferred:
+                closure = column[rel] = self._build(idx)
+        else:
+            closure = self._build(idx)
+        self._code[idx] = closure
+        return closure(idx)
 
     def _trap(self, message: str, addr: int):
         raise VmTrap(message, addr)
@@ -986,42 +1110,14 @@ class VM:
                 raise _HALT
             return h_halt
 
-        if op is Op.JMP:
+        if op in _TRANSFERS:
             target = self._branch_index(ops[0], iaddr)
-            def h_jmp(idx, cyc=cyc, cost=cost + self.cost_model.branch_taken_extra, target=target):
-                cyc[0] += cost
-                return target
-            return h_jmp
-
-        if info.is_cond_branch:
-            target = self._branch_index(ops[0], iaddr)
-            cond = _COND_TABLE[op]
-            taken_cost = cost + self.cost_model.branch_taken_extra
-            def h_jcc(idx, cyc=cyc, cost=cost, target=target, flags=flags, cond=cond,
-                      taken_cost=taken_cost):
-                if cond(flags):
-                    cyc[0] += taken_cost
-                    return target
-                cyc[0] += cost
-                return idx + 1
-            return h_jcc
-
-        if op is Op.CALL:
-            target = self._branch_index(ops[0], iaddr)
-            next_addr = (
-                self._instr_addrs[i + 1] if i + 1 < len(self._instrs) else -1
-            )
-            limit = self.stack_limit
-            def h_call(idx, cyc=cyc, cost=cost, target=target, gpr=gpr, mem=mem,
-                       next_addr=next_addr, limit=limit):
-                sp = gpr[15] - 1
-                if sp < limit:
-                    raise _PendingTrap("stack overflow on call")
-                mem[sp] = next_addr
-                gpr[15] = sp
-                cyc[0] += cost
-                return target
-            return h_call
+            if op is Op.CALL:
+                addrs = self._instr_addrs
+                return self._transfer(
+                    i, (target, addrs[i + 1] if i + 1 < len(addrs) else -1)
+                )
+            return self._transfer(i, (target,))
 
         if op is Op.RET:
             top = len(mem)
@@ -1737,6 +1833,46 @@ class VM:
 
         raise VmTrap(f"no handler for opcode {info.mnemonic}", iaddr)
 
+    def _transfer(self, i: int, key: tuple):
+        """Closure of jmp / jcc / call *i* bound to its resolved *key*:
+        ``(target index,)``, plus the return address for a call."""
+        op = self._instrs[i].opcode
+        cost = self._inst_costs[i]
+        cyc = self._cyc
+        target = key[0]
+        if op is Op.JMP:
+            def h_jmp(idx, cyc=cyc, cost=cost + self.cost_model.branch_taken_extra, target=target):
+                cyc[0] += cost
+                return target
+            return h_jmp
+
+        if op is Op.CALL:
+            gpr = self.gpr
+            mem = self.mem
+            next_addr = key[1]
+            limit = self.stack_limit
+            def h_call(idx, cyc=cyc, cost=cost, target=target, gpr=gpr, mem=mem,
+                       next_addr=next_addr, limit=limit):
+                sp = gpr[15] - 1
+                if sp < limit:
+                    raise _PendingTrap("stack overflow on call")
+                mem[sp] = next_addr
+                gpr[15] = sp
+                cyc[0] += cost
+                return target
+            return h_call
+
+        cond = _COND_TABLE[op]
+        taken_cost = cost + self.cost_model.branch_taken_extra
+        def h_jcc(idx, cyc=cyc, cost=cost, target=target, flags=self.flags, cond=cond,
+                  taken_cost=taken_cost):
+            if cond(flags):
+                cyc[0] += taken_cost
+                return target
+            cyc[0] += cost
+            return idx + 1
+        return h_jcc
+
     def _branch_index(self, operand, iaddr: int) -> int:
         if not isinstance(operand, Imm):
             raise VmTrap("branch target must be immediate", iaddr)
@@ -1812,6 +1948,17 @@ class Machine:
     def fuse_cache_misses(self) -> int:
         return self._vm.fuse_misses if self._vm is not None else 0
 
+    def _counters(self) -> tuple:
+        """Current values of :data:`MACHINE_COUNTERS`."""
+        vm = self._vm
+        if vm is None:
+            return (0,) * len(MACHINE_COUNTERS)
+        cache = self._cache
+        return (
+            cache.hits, cache.misses,
+            vm.load_decoded, vm.load_closures, vm.load_fused,
+        )
+
     def run(self, program: Program, segments=None) -> ExecResult:
         """Execute *program* to HALT, like :func:`run_program`.
 
@@ -1819,15 +1966,14 @@ class Machine:
         (``InstrumentedProgram.segments``); pass ``None`` to load without
         closure reuse (the VM and its state arrays are still recycled).
         """
-        cache = self._cache
-        h0 = cache.hits if cache is not None else 0
-        m0 = cache.misses if cache is not None else 0
+        before = self._counters()
         vm = self._vm
         if vm is not None and program.data_image == vm._data_image0:
             vm.rebind(program, segments)
         else:
+            self._vm = None
             cache = self._cache = CompiledSegmentCache(self.cost_model)
-            h0 = m0 = 0
+            before = (0,) * len(MACHINE_COUNTERS)
             vm = self._vm = VM(
                 program,
                 stack_words=self.stack_words,
@@ -1842,8 +1988,21 @@ class Machine:
             return vm.run()
         finally:
             t = self.telemetry
-            t.count("vm.compile_cache_hits", cache.hits - h0)
-            t.count("vm.compile_cache_misses", cache.misses - m0)
+            for name, after, was in zip(MACHINE_COUNTERS, self._counters(), before):
+                t.count(name, after - was)
+
+
+#: per-run counters a :class:`Machine` emits as telemetry counts: segment
+#: cache lookups, then the load work (instructions decoded, closures
+#: compiled, fused runs compiled) — host-independent measures of what a
+#: load cost.
+MACHINE_COUNTERS = (
+    "vm.compile_cache_hits",
+    "vm.compile_cache_misses",
+    "vm.load_decoded",
+    "vm.load_closures",
+    "vm.load_fused",
+)
 
 
 def run_program(

@@ -108,9 +108,9 @@ def test_segments_tile_the_text_section():
     result = instrument(workload.program, Config.all_single(tree), cache=cache)
     assert result.segments is not None
     expect = 0
-    for seg_bytes, base in result.segments:
+    for template, base in result.segments:
         assert base == expect
-        expect += len(seg_bytes)
+        expect += len(template.code)
     assert expect == len(result.program.text)
 
 

@@ -122,3 +122,25 @@ class TestJobArtifacts:
             assert svc.wait_all(timeout=60)
             assert job.state == CANCELLED
             assert job.executions == 0
+
+    def test_cancel_between_open_check_and_batch_is_not_lost(
+        self, tmp_path, monkeypatch
+    ):
+        # The race: the engine passes its open check, then the cancel
+        # lands before the batch is registered, so the channel abort
+        # finds no batch.  The abort must stick: the batch that follows
+        # fails at once instead of waiting forever on a worker-less pool.
+        from repro.service.evaluator import ServiceEvaluator
+
+        original = ServiceEvaluator._check_open
+
+        def check_then_cancel(evaluator):
+            original(evaluator)
+            svc.cancel(evaluator.job_id)
+
+        monkeypatch.setattr(ServiceEvaluator, "_check_open", check_then_cancel)
+        with service_running(tmp_path) as svc:
+            job = svc.submit("cg", "T")
+            assert svc.wait_all(timeout=60)
+            assert job.state == CANCELLED
+            assert job.executions == 0
