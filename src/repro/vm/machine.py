@@ -485,6 +485,8 @@ class VM:
         #: segment path: each placed segment's cache entry and first index
         self._seg_entries: list = []
         self._seg_starts: list = []
+        #: leading arguments of every fused-run factory bound to this VM
+        self._run_state = fuse.vm_state(self)
         self._load(program, segments)
 
     # -- public API -----------------------------------------------------------
@@ -964,9 +966,7 @@ class VM:
 
     def _bind_run(self, factory, targets: tuple):
         """Instantiate one fused run's factory for this VM."""
-        return factory(
-            *fuse.vm_state(self), targets, self.rank, self.size, _HALT
-        )
+        return factory(*self._run_state, targets, self.rank, self.size, _HALT)
 
     def _lazy(self, idx: int):
         """Deferred compile: the shared stand-in for the closure of an
