@@ -313,7 +313,7 @@ class _Segment:
     """
 
     __slots__ = ("instrs", "offs", "costs", "transfers", "code", "keys",
-                 "fcode", "heads", "runs")
+                 "fcode", "heads")
 
     def __init__(self, instrs: tuple, model: CostModel) -> None:
         self.instrs = instrs
@@ -326,7 +326,6 @@ class _Segment:
         self.keys: list = []
         self.fcode: list | None = None
         self.heads: dict = {}
-        self.runs = 0
 
 
 class CompiledSegmentCache:
@@ -850,13 +849,15 @@ class VM:
             # layout); compile only templates seen for the first time.
             code = self._code = []
             fcode: list | None = [] if fuse_here else None
+            partitions = cache._fuse_partitions
             for (template, _base), entry, lo in zip(segments, entries, starts):
                 if entry.code is None:
                     self._compile_segment(entry, lo, template.code, text)
                 else:
                     if entry.transfers:
                         self._retarget(entry, lo, text)
-                    self.fuse_hits += entry.runs
+                    if fcode is not None:
+                        self.fuse_hits += len(partitions[template.code])
                 code += entry.code
                 if fcode is not None:
                     fcode += entry.fcode
@@ -907,61 +908,42 @@ class VM:
         """First placement of a template: scan its fused runs, compile its
         closures (run interiors lazily) and fill the entry's columns."""
         n = len(entry.instrs)
-        hi = lo + n
-        transfers = entry.transfers
+        keys = {rel: self._target_key(lo + rel, text) for rel in entry.transfers}
         part: list = []
         covered = bytes(n)
         if self._fused:
             # Interior run leaders can only be the segment's own branch
-            # targets (see fuse.scan_segment); unresolvable ones trap in
-            # the compile loop below.
-            a2i = self._addr2idx
-            addrs = self._instr_addrs
-            leaders = set()
-            for rel in transfers:
-                iaddr = addrs[lo + rel] + _TARGET_AT
-                t = a2i.get(
-                    int.from_bytes(text[iaddr : iaddr + 8], "little", signed=True)
-                )
-                if t is not None and lo < t < hi:
-                    leaders.add(t)
+            # targets (see fuse.scan_segment).
+            leaders = {key[0] for key in keys.values() if lo < key[0] < lo + n}
             part = fuse.scan_segment(
-                self, seg_bytes, lo, hi, leaders,
+                self, seg_bytes, lo, lo + n, leaders,
                 self._segment_cache._fuse_partitions,
             )
             covered = bytearray(n)
             for rel, k_total, _term, _op, _factory in part:
                 covered[rel : rel + k_total] = b"\1" * k_total
         code: list = [None] * n
-        keys: dict = {}
-        build = self._build
-        deferred = self._deferred
-        is_transfer = set(transfers)
         lazies = 0
         for rel in range(n):
-            i = lo + rel
-            if rel in is_transfer:
-                key = keys[rel] = self._target_key(i, text)
-                code[rel] = self._transfer(i, key)
+            key = keys.get(rel)
+            if key is not None:
+                code[rel] = self._transfer(lo + rel, key)
             elif covered[rel]:
-                code[rel] = deferred
+                code[rel] = self._deferred
                 lazies += 1
             else:
-                code[rel] = build(i)
+                code[rel] = self._build(lo + rel)
         self.load_closures += n - lazies
-        fcode = None
         heads = {}
-        if self._fused:
-            fcode = [None] * n
-            for rel, _k, term, term_op, factory in part:
-                targets = () if term < 0 or term_op is Op.RET else keys[term]
-                fcode[rel] = self._bind_run(factory, targets)
-                if targets:
-                    heads[term] = (rel, factory)
-        entry.keys = [keys[rel] for rel in transfers]
+        fcode = [None] * n if self._fused else None
+        for rel, _k, term, term_op, factory in part:
+            targets = () if term < 0 or term_op is Op.RET else keys[term]
+            fcode[rel] = self._bind_run(factory, targets)
+            if targets:
+                heads[term] = (rel, factory)
+        entry.keys = [keys[rel] for rel in entry.transfers]
         entry.heads = heads
         entry.fcode = fcode
-        entry.runs = len(part)
         entry.code = code
 
     def _bind_run(self, factory, targets: tuple):

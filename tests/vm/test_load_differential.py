@@ -14,9 +14,12 @@ import random
 
 import pytest
 
+from repro.asm import AsmBuilder
 from repro.config import Config, Policy, build_tree
 from repro.instrument import InstrumentCache, instrument
 from repro.isa.encode import decode_instruction
+from repro.isa.opcodes import Op
+from repro.isa.operands import Imm, Mem, Reg
 from repro.search import SearchEngine, SearchOptions
 from repro.search.evaluator import IncrementalState
 from repro.vm import VM, CompiledSegmentCache, Machine, run_program
@@ -126,13 +129,44 @@ def test_templates_hand_off_their_decoded_instructions(recorded):
             if template.code in seen:
                 continue
             seen.add(template.code)
-            decoded = []
-            offset = 0
-            while offset < len(template.code):
-                instr, size = decode_instruction(template.code, offset)
-                decoded.append(instr)
-                offset += size
-            assert tuple(decoded) == template.instrs
+            assert template.instrs == _decode(template.code)
+
+
+def test_hand_off_normalizes_raw_bit_patterns():
+    # Operands built as raw 64-bit patterns encode as signed i64; the
+    # handed-off instructions must match that decode, or a warm load
+    # would compute a different (trapping) address than a fresh run.
+    builder = AsmBuilder()
+    builder.func("_start")
+    builder.emit(Op.MOV, Reg(1), Imm(0xBFF0000000000000))
+    builder.emit(Op.OUTI, Reg(1))
+    builder.emit(Op.MOV, Reg(2), Mem(disp=0xFFFFFFFFFFFFFFF8))
+    builder.emit(Op.OUTI, Reg(2))
+    builder.emit(Op.HALT)
+    builder.endfunc()
+    program = builder.link()
+    built = instrument(
+        program, Config.all_double(build_tree(program)),
+        cache=InstrumentCache(program),
+    )
+    for template, _base in built.segments:
+        assert template.instrs == _decode(template.code)
+    params = {"stack_words": 64, "max_steps": 1000}
+    expected = _reference(built.program, params)
+    assert expected[3].startswith("memory read out of bounds: -8 ")
+    machine = Machine(**params)
+    for _ in range(2):
+        assert _outcome(lambda: machine.run(built.program, built.segments)) == expected
+
+
+def _decode(code: bytes) -> tuple:
+    decoded = []
+    offset = 0
+    while offset < len(code):
+        instr, size = decode_instruction(code, offset)
+        decoded.append(instr)
+        offset += size
+    return tuple(decoded)
 
 
 def _deferred_slots(vm: VM) -> int:
