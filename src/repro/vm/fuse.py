@@ -1026,12 +1026,11 @@ def _instantiate(vm, fcode, covered, lo: int, part, state, halt) -> None:
             covered[c] = 1
 
 
-def build_fcode(vm, bounds, halt) -> tuple[list, bytearray]:
-    """Build the fused dispatch array for *vm*'s freshly loaded program.
+def build_fcode(vm, halt) -> tuple[list, bytearray]:
+    """Build the fused dispatch array for *vm*'s freshly loaded program
+    (the whole text as one span; segment loads use :func:`scan_segment`).
 
-    ``bounds`` are the instruction indices that start a new segment (runs
-    never cross them: instrumented block boundaries are the natural
-    fusion seams).  Returns ``(fcode, covered)``: ``fcode`` is the list
+    Returns ``(fcode, covered)``: ``fcode`` is the list
     the VM's fused loop indexes — a fused closure at every run head,
     None everywhere else (interior entries single-step the reference
     closures) — and ``covered[i]`` flags every instruction inside a
@@ -1054,12 +1053,9 @@ def build_fcode(vm, bounds, halt) -> tuple[list, bytearray]:
             t = a2i.get(ins.operands[0].value)
             if t is not None:
                 leaders.add(t)
-    edges = list(bounds) + [n]
-    for b in range(len(edges) - 1):
-        lo = edges[b]
-        part = _scan_span(vm, lo, edges[b + 1], leaders)
-        if part:
-            _instantiate(vm, fcode, covered, lo, part, state, halt)
+    part = _scan_span(vm, 0, n, leaders)
+    if part:
+        _instantiate(vm, fcode, covered, 0, part, state, halt)
     return fcode, covered
 
 

@@ -777,8 +777,6 @@ class VM:
         cache = self._segment_cache
         text = program.text
         costs: list[int] = []
-        #: run fusion seams — instruction indices starting a new segment.
-        bounds: list[int] = [0]
         fuse_here = self._fused and self._observer is None
         if segments is None or cache is None:
             self._seg_entries = []
@@ -807,7 +805,7 @@ class VM:
             covered = None
             self._fcode = None
             if fuse_here:
-                fcode, covered = fuse.build_fcode(self, bounds, _HALT)
+                fcode, covered = fuse.build_fcode(self, _HALT)
                 # A program with no fusable run gains nothing from the
                 # fused loop's extra None checks; keep the reference loop.
                 self._fcode = fcode if any(fcode) else None
