@@ -49,7 +49,7 @@ from repro.config.model import Policy
 from repro.instrument.dataflow import block_precleaned
 from repro.instrument.rewriter import _addr_label, _emit_instruction
 from repro.instrument.snippets import DEFAULT_WIDTHS, SnippetStats
-from repro.isa.encode import decoded_operand, encode_instruction
+from repro.isa.encode import decoded_operand, encode_body
 from repro.isa.instruction import Instruction
 from repro.isa.operands import Imm, KIND_IMM, KIND_MEM, KIND_REG, KIND_XMM
 
@@ -130,9 +130,19 @@ def build_block_template(
     streamline: bool,
     optimize_checks: bool,
     widths: tuple = DEFAULT_WIDTHS,
+    interned: dict | None = None,
 ) -> BlockTemplate:
     """Instrument one block into a relocatable template (the cold path of
-    the cache; byte-compatible with the AsmBuilder-based rewriter)."""
+    the cache; byte-compatible with the AsmBuilder-based rewriter).
+
+    *interned* shares the handed-off instruction objects between the
+    templates of one cache: encoded operand bytes map to their operand
+    tuple and ``(encoding, offset)`` to the instruction.  Templates of one
+    block under different policy slices repeat most instructions, so
+    sharing halves the objects the templates keep alive.
+    """
+    if interned is None:
+        interned = {}
     precleaned: dict[int, frozenset[int]] = {}
     if optimize_checks and snippet_all:
         block_precleaned(block.instructions, policies, precleaned)
@@ -183,9 +193,14 @@ def build_block_template(
             else:
                 resolved.append(decoded_operand(operand))
             payload += _operand_width(operand)
-        instr = Instruction(opcode, tuple(resolved), addr=off)
-        raw = encode_instruction(instr)
+        raw = encode_body(opcode, resolved)
         assert len(raw) == payload, "layout/encoding width mismatch"
+        instr = interned.get((raw, off))
+        if instr is None:
+            shared = interned.get(raw[3:])
+            if shared is None:
+                shared = interned[raw[3:]] = tuple(resolved)
+            instr = interned[raw, off] = Instruction(opcode, shared, addr=off)
         if line:
             lines.append((off, line))
         chunks.append(raw)
@@ -233,6 +248,9 @@ class InstrumentCache:
         self.hits = 0
         self.misses = 0
         self._templates: dict = {}
+        #: instruction objects shared by this cache's templates (see
+        #: build_block_template)
+        self._interned: dict = {}
         self._scratch_ok: bool | None = None
 
         self.entry_names = {fn.entry: fn.name for fn in program.functions}
@@ -316,9 +334,11 @@ class InstrumentCache:
                     template = build_block_template(
                         block, self.entry_names, policies, snippet_all,
                         wrap_moves, streamline, optimize_checks, widths,
+                        self._interned,
                     )
                     if len(templates) >= self.max_templates:
                         templates.clear()  # crude epoch flush; see docs
+                        self._interned.clear()
                     templates[key] = template
                 else:
                     hits += 1
