@@ -130,7 +130,8 @@ def build_block_template(
     streamline: bool,
     optimize_checks: bool,
     widths: tuple = DEFAULT_WIDTHS,
-    interned: dict | None = None,
+    *,
+    interned: dict,
 ) -> BlockTemplate:
     """Instrument one block into a relocatable template (the cold path of
     the cache; byte-compatible with the AsmBuilder-based rewriter).
@@ -141,8 +142,6 @@ def build_block_template(
     block under different policy slices repeat most instructions, so
     sharing halves the objects the templates keep alive.
     """
-    if interned is None:
-        interned = {}
     precleaned: dict[int, frozenset[int]] = {}
     if optimize_checks and snippet_all:
         block_precleaned(block.instructions, policies, precleaned)
@@ -159,52 +158,52 @@ def build_block_template(
     if stats.replaced_single + stats.wrapped_double:
         stats.blocks_split = 1
 
-    # Layout pass: assign template-relative offsets, collect label defs.
+    # One pass: lay out, encode with label payloads zeroed, and resolve
+    # the label relocations once every label's offset is known.
     label_off: dict[str, int] = {}
-    pending: list = []  # (opcode, operands, line, offset)
+    labelled: list = []  # (payload position, label name)
+    chunks: list[bytes] = []
+    instrs: list = []
+    lines: list = []
     offset = 0
     for item in builder.items:
         if isinstance(item, str):
             label_off[item] = offset
-        else:
-            opcode, operands, line = item
-            pending.append((opcode, operands, line, offset))
-            offset += 3 + sum(_operand_width(o) for o in operands)
-
-    # Encoding pass: zero label payloads, record their patch positions.
-    chunks: list[bytes] = []
-    instrs: list = []
-    relocs: list = []
-    lines: list = []
-    for opcode, operands, line, off in pending:
+            continue
+        opcode, operands, line = item
         resolved = []
         payload = 3
         for operand in operands:
             if isinstance(operand, LabelRef):
-                name = operand.name
-                local = label_off.get(name)
-                if local is not None:
-                    relocs.append((off + payload + 1, _REL_LOCAL, local))
-                elif name.startswith(".A"):
-                    relocs.append((off + payload + 1, _REL_ADDR, int(name[2:], 16)))
-                else:
-                    relocs.append((off + payload + 1, _REL_FUNC, name))
+                labelled.append((offset + payload + 1, operand.name))
                 resolved.append(_ZERO)
             else:
                 resolved.append(decoded_operand(operand))
             payload += _operand_width(operand)
         raw = encode_body(opcode, resolved)
         assert len(raw) == payload, "layout/encoding width mismatch"
-        instr = interned.get((raw, off))
+        instr = interned.get((raw, offset))
         if instr is None:
             shared = interned.get(raw[3:])
             if shared is None:
                 shared = interned[raw[3:]] = tuple(resolved)
-            instr = interned[raw, off] = Instruction(opcode, shared, addr=off)
+            instr = interned[raw, offset] = Instruction(
+                opcode, shared, addr=offset
+            )
         if line:
-            lines.append((off, line))
+            lines.append((offset, line))
         chunks.append(raw)
         instrs.append(instr)
+        offset += payload
+    relocs: list = []
+    for position, name in labelled:
+        local = label_off.get(name)
+        if local is not None:
+            relocs.append((position, _REL_LOCAL, local))
+        elif name.startswith(".A"):
+            relocs.append((position, _REL_ADDR, int(name[2:], 16)))
+        else:
+            relocs.append((position, _REL_FUNC, name))
 
     return BlockTemplate(
         code=b"".join(chunks),
@@ -334,7 +333,7 @@ class InstrumentCache:
                     template = build_block_template(
                         block, self.entry_names, policies, snippet_all,
                         wrap_moves, streamline, optimize_checks, widths,
-                        self._interned,
+                        interned=self._interned,
                     )
                     if len(templates) >= self.max_templates:
                         templates.clear()  # crude epoch flush; see docs
