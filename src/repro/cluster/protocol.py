@@ -22,12 +22,15 @@ Message flow (worker-initiated request/response, except heartbeats)::
                                       settle on the highest shared
                                       version — a v2 worker still
                                       serves a single-job coordinator)
-    lease {}                    ->
+    lease {}                    ->    (parks until a task is leasable)
                                 <- task {task, flags, digest}
-                                   | wait {delay}   (no work right now)
+                                   | wait {delay: 0}  (keepalive for a
+                                                       lease parked long;
+                                                       lease again)
                                    | bye {}         (search over)
-    events {task, events}       ->    (one-way: never answered, sent
-                                       right before result/error — the
+    events {task, events}       ->    (one-way: never answered, written
+                                       in the same sendall as the
+                                       result/error it precedes — the
                                        worker's telemetry events for
                                        that task, merged by the
                                        coordinator into the unified
@@ -72,6 +75,17 @@ Worker and client frames share one framing layer and one handshake; the
 carries a ``task`` key, a client ``result`` carries a ``job`` key — they
 never travel on the same connection.
 
+A ``lease`` that finds no ready task is not answered at once: the
+coordinator parks the worker and writes its ``task`` the moment one
+becomes leasable (a batch arrives, a quota or a backoff frees one).  A
+lease parked for a quarter of the liveness window (capped by
+:data:`SOCKET_TIMEOUT`) is answered ``wait {delay: 0}`` so the worker's
+blocking read never times out on a healthy coordinator.
+
+Every client-side socket is opened by :func:`dial`, which sets
+``TCP_NODELAY``: every exchange is a small request answered by a small
+reply, the pattern Nagle's algorithm and delayed ACKs stall.
+
 Every worker→coordinator message refreshes the worker's liveness
 deadline; a worker silent for longer than the lease timeout — or whose
 connection reaches EOF, the usual fate of a SIGKILLed process — is
@@ -88,6 +102,7 @@ import asyncio
 import json
 import socket
 import struct
+import time
 
 #: bump on any incompatible message-shape change; hello/welcome carry it
 #: and mismatches are refused at handshake time.
@@ -109,6 +124,10 @@ SUPPORTED_VERSIONS = (2, 3)
 MAX_FRAME = 16 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
+
+#: timeout on every blocking client-side socket; the coordinator answers
+#: a parked lease well inside it (see the module docstring).
+SOCKET_TIMEOUT = 30.0
 
 # message types
 HELLO = "hello"
@@ -169,8 +188,34 @@ def _check_length(length: int) -> None:
 # -- synchronous (worker-side) endpoints ------------------------------------
 
 
+def dial(address: str, retries: int = 50,
+         backoff: float = 0.1) -> socket.socket:
+    """Connect to ``HOST:PORT``, retrying while the peer is still coming
+    up, and disable Nagle's algorithm on the connected socket.
+
+    Raises the last :class:`OSError` once *retries* are spent.
+    """
+    host, port = parse_address(address)
+    for attempt in range(retries + 1):
+        try:
+            sock = socket.create_connection((host, port),
+                                            timeout=SOCKET_TIMEOUT)
+            break
+        except OSError:
+            if attempt == retries:
+                raise
+            time.sleep(backoff * min(attempt + 1, 10))
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
 def send_frame(sock: socket.socket, message: dict) -> None:
     sock.sendall(pack_frame(message))
+
+
+def send_frames(sock: socket.socket, messages) -> None:
+    """Send several frames with one ``sendall``, in order."""
+    sock.sendall(b"".join(pack_frame(message) for message in messages))
 
 
 def recv_frame(sock: socket.socket) -> dict | None:

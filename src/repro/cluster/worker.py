@@ -21,6 +21,12 @@ coordinator picks the highest shared version, answering a structured
 ``unsupported`` frame (instead of a silent disconnect) when there is no
 overlap.
 
+A ``lease`` the coordinator cannot fill at once is parked there: the
+worker simply blocks on its socket until a ``task`` arrives (or a
+``wait`` keepalive, after which it leases again).  A task's forwarded
+telemetry and its ``result``/``error`` leave in one write, so no frame
+waits in the kernel for the previous one's ACK.
+
 A heartbeat thread sends one-way ``heartbeat`` frames at a quarter of
 the coordinator's lease timeout so a long-running evaluation does not
 look like a dead worker.  Heartbeats are never answered — the main
@@ -58,10 +64,11 @@ from repro.cluster.protocol import (
     WAIT,
     WELCOME,
     ProtocolError,
+    dial,
     outcome_to_wire,
-    parse_address,
     recv_frame,
     send_frame,
+    send_frames,
 )
 from repro.config.generator import build_tree
 from repro.config.model import Config, Policy
@@ -94,15 +101,12 @@ def connect(
     connect_backoff: float = 0.1,
 ) -> socket.socket:
     """Dial the coordinator, retrying while it is still coming up."""
-    host, port = parse_address(address)
-    last_error: Exception | None = None
-    for attempt in range(connect_retries + 1):
-        try:
-            return socket.create_connection((host, port), timeout=30)
-        except OSError as exc:
-            last_error = exc
-            time.sleep(connect_backoff * min(attempt + 1, 10))
-    raise WorkerError(f"cannot reach coordinator at {address}: {last_error}")
+    try:
+        return dial(address, connect_retries, connect_backoff)
+    except OSError as exc:
+        raise WorkerError(
+            f"cannot reach coordinator at {address}: {exc}"
+        ) from None
 
 
 def _handshake(sock: socket.socket) -> dict:
@@ -168,20 +172,24 @@ class _WorkloadCache:
         return entry
 
 
-def _forward_events(sock, send_lock, task, events_sink) -> None:
-    """Ship the task's buffered telemetry as one one-way frame.
+def _report(sock, send_lock, outcome: dict, events_sink) -> None:
+    """Send a task's buffered telemetry and its outcome in one write.
 
-    Sent *before* the result/error frame so the coordinator merges the
-    evidence into its trace ahead of the outcome it explains (TCP
-    preserves the order).  Never answered; an empty buffer sends
-    nothing.
+    The one-way ``events`` frame goes *before* the result/error frame so
+    the coordinator merges the evidence into its trace ahead of the
+    outcome it explains; an empty buffer sends no ``events`` frame.
     """
-    events = list(events_sink.events)
-    events_sink.events.clear()
-    if not events:
-        return
+    frames = []
+    if events_sink.events:
+        frames.append({
+            "type": EVENTS,
+            "task": outcome["task"],
+            "events": list(events_sink.events),
+        })
+        events_sink.events.clear()
+    frames.append(outcome)
     with send_lock:
-        send_frame(sock, {"type": EVENTS, "task": task, "events": events})
+        send_frames(sock, frames)
 
 
 class _Heartbeat(threading.Thread):
@@ -251,8 +259,7 @@ def run_worker(
                 break
             kind = reply.get("type")
             if kind == WAIT:
-                time.sleep(float(reply.get("delay", 0.02)))
-                continue
+                continue  # keepalive for a long-parked lease
             if kind != TASK:
                 raise ProtocolError(f"expected task/wait/bye, got {kind!r}")
             _maybe_crash()
@@ -284,13 +291,11 @@ def run_worker(
                     workload, config, state, optimize_checks, telemetry=wtel
                 )
             except Exception as exc:  # an evaluation bug, not a protocol one
-                _forward_events(sock, send_lock, reply["task"], events_sink)
-                with send_lock:
-                    send_frame(sock, {
-                        "type": ERROR,
-                        "task": reply["task"],
-                        "message": f"{type(exc).__name__}: {exc}",
-                    })
+                _report(sock, send_lock, {
+                    "type": ERROR,
+                    "task": reply["task"],
+                    "message": f"{type(exc).__name__}: {exc}",
+                }, events_sink)
             else:
                 wtel.emit(
                     "eval.remote",
@@ -301,14 +306,12 @@ def run_worker(
                     reason=outcome.reason,
                     wall_s=round(time.perf_counter() - started, 6),
                 )
-                _forward_events(sock, send_lock, reply["task"], events_sink)
-                with send_lock:
-                    send_frame(sock, {
-                        "type": RESULT,
-                        "task": reply["task"],
-                        "outcome": outcome_to_wire(outcome),
-                        "deltas": list(deltas),
-                    })
+                _report(sock, send_lock, {
+                    "type": RESULT,
+                    "task": reply["task"],
+                    "outcome": outcome_to_wire(outcome),
+                    "deltas": list(deltas),
+                }, events_sink)
                 tasks_done += 1
             ack = recv_frame(sock)
             if ack is None:

@@ -32,7 +32,7 @@ from repro.cluster.protocol import (
     SUPPORTED_VERSIONS,
     UNSUPPORTED,
     WELCOME,
-    parse_address,
+    dial,
     recv_frame,
     send_frame,
 )
@@ -58,21 +58,12 @@ class ServiceClient:
         connect_retries: int = 50,
         connect_backoff: float = 0.1,
     ) -> None:
-        host, port = parse_address(address)
-        last_error: Exception | None = None
-        sock = None
-        for attempt in range(connect_retries + 1):
-            try:
-                sock = socket.create_connection((host, port), timeout=30)
-                break
-            except OSError as exc:
-                last_error = exc
-                time.sleep(connect_backoff * min(attempt + 1, 10))
-        if sock is None:
+        try:
+            self.sock = dial(address, connect_retries, connect_backoff)
+        except OSError as exc:
             raise ServiceError(
-                f"cannot reach service at {address}: {last_error}"
-            )
-        self.sock = sock
+                f"cannot reach service at {address}: {exc}"
+            ) from None
         self.address = address
         send_frame(self.sock, {
             "type": HELLO,

@@ -50,10 +50,12 @@ EVENT_FIELDS: dict[str, frozenset] = {
     # Coordinator-side lease lifecycle: every event carries the worker's
     # coordinator-assigned id ("w1", "w2", ...).  lease/heartbeat also
     # carry `busy` (that worker's outstanding leases) so live progress
-    # can render per-worker occupancy.
+    # can render per-worker occupancy.  lease carries `queued_s`, the
+    # coordinator's loop-clock time from the task becoming leasable
+    # (enqueue or backoff expiry) to its grant.
     "cluster.worker_join": frozenset({"worker", "name"}),
     "cluster.worker_lost": frozenset({"worker", "leases", "reason"}),
-    "cluster.lease": frozenset({"worker", "task", "busy"}),
+    "cluster.lease": frozenset({"worker", "task", "busy", "queued_s"}),
     "cluster.heartbeat": frozenset({"worker", "busy"}),
     # a lease whose worker died/errored, put back on the queue with
     # exponential backoff (exhausted retries become eval.worker_crash).

@@ -95,6 +95,14 @@ class TestRejections:
         assert service.wait_all(timeout=60)
 
 
+class TestConnection:
+    def test_client_socket_disables_nagle(self, service):
+        with ServiceClient(service.address) as client:
+            assert client.sock.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+
+
 class TestNegotiation:
     def test_v2_worker_gets_structured_unsupported(self, service):
         # The service's tasks carry per-frame workloads, which only v3

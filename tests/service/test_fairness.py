@@ -3,8 +3,12 @@ and per-tenant in-flight quotas are never exceeded — observed through
 the coordinator's lease log, not timing.
 """
 
+import time
+
+from repro.cluster.protocol import recv_frame, send_frame
 from repro.service.jobs import COMPLETE
 
+from tests.cluster.conftest import FakeWorker
 from tests.service.conftest import service_running
 
 
@@ -60,3 +64,34 @@ def test_two_tenants_each_get_their_own_quota(tmp_path):
     assert set(by_tenant) == {"alice", "bob"}
     for tenant, counts in by_tenant.items():
         assert max(counts) <= 2, f"{tenant} exceeded its in-flight quota"
+
+
+def test_released_quota_goes_to_a_parked_worker(tmp_path):
+    # One tenant at its in-flight quota of 1 with more tasks queued: the
+    # second worker's lease parks, and the first result hands the next
+    # task to it without a second lease frame.
+    with service_running(
+        tmp_path, lease_log=True, max_inflight=1
+    ) as svc:
+        first = FakeWorker(svc.address)
+        second = FakeWorker(svc.address)
+        try:
+            svc.submit("cg", "T", tenant="alice", options={"workers": 4})
+            task = first.lease_task(timeout=60)
+            send_frame(second.sock, {"type": "lease"})
+            coord = svc._coord
+            deadline = time.monotonic() + 10
+            while not (coord.idle and any(
+                channel.pending for channel in coord.channels.values()
+            )):
+                assert time.monotonic() < deadline, "lease never parked"
+                time.sleep(0.005)
+            first.result(task["task"])
+            handed = recv_frame(second.sock)
+            assert handed["type"] == "task"
+            assert handed["task"] != task["task"]
+            log = svc.lease_log()
+        finally:
+            first.close()
+            second.close()
+    assert [entry[2] for entry in log[:2]] == [1, 1]
