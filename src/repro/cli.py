@@ -712,7 +712,7 @@ def cmd_worker(args) -> int:
         return 130
     if not args.quiet:
         print(f"worker done: {stats['tasks']} tasks "
-              f"({stats['workload'] or 'no workload'})")
+              f"({', '.join(stats['workloads']) or 'no workload'})")
     return 0
 
 

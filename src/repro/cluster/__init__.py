@@ -22,7 +22,6 @@ from repro.cluster.coordinator import (
 )
 from repro.cluster.protocol import (
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     ProtocolError,
     parse_address,
 )
@@ -30,7 +29,6 @@ from repro.cluster.worker import EXIT_SENTINEL_VAR, WorkerError, run_worker
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
     "ClusterError",
     "ClusterEvaluator",
     "EXIT_SENTINEL_VAR",

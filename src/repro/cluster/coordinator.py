@@ -12,19 +12,21 @@ order, and every evaluation a worker runs goes through the shared
 :mod:`repro.search.execution` kernel, so the final configuration is
 byte-identical to a serial search (differential-tested).
 
-Multi-campaign dispatch (protocol v3)
--------------------------------------
-The coordinator no longer assumes a single search: work is organised
-into *channels*, one per campaign (:class:`_Channel`), each with its own
-pending queue, backoff list, and in-flight batch.  A standalone
-``ClusterEvaluator`` registers exactly one channel; the
-:mod:`repro.service` job server registers one per submitted job and
-shares a single coordinator — and therefore one worker pool — across
-all of them.  Leases are multiplexed fairly with deficit round-robin:
-each ready channel accumulates ``quantum`` credit per scheduler pass
-and spends one credit per granted lease, so a large campaign cannot
-starve a small one, and per-tenant in-flight quotas (``max_inflight``)
-cap how much of the pool any one tenant can hold at once.
+Multi-campaign dispatch
+-----------------------
+Work is organised into *channels*, one per campaign (:class:`_Channel`),
+each with its own pending queue, retry policy, in-flight batch and
+workload fields, which every ``task`` frame carries.  A standalone
+``ClusterEvaluator`` is a coordinator with exactly one channel; the
+:mod:`repro.service` job server opens one per submitted job and shares
+a single coordinator — and therefore one worker pool — across all of
+them.  Both drive their channels through :class:`BaseLeaseEvaluator`
+and run their coordinator on a :class:`CoordinatorHost`.  Leases are
+multiplexed fairly with deficit round-robin: each ready channel
+accumulates ``quantum`` credit per scheduler pass and spends one credit
+per granted lease, so a large campaign cannot starve a small one, and
+per-tenant in-flight quotas (``max_inflight``) cap how much of the pool
+any one tenant can hold at once.
 
 Parked leases
 -------------
@@ -54,18 +56,21 @@ Fault tolerance
 Liveness is heartbeat-based: any worker message refreshes its deadline,
 and a worker silent for ``lease_timeout`` seconds — or whose connection
 reaches EOF, the usual fate of a SIGKILLed process — is declared lost.
-Its leases are requeued under the shared
+Its leases are requeued under their campaign's
 :class:`~repro.search.retry.RetryPolicy` (exponential per-task backoff);
 a task that keeps losing its worker through every retry is classified
-``worker_crash`` exactly like a fork-pool crash.  Results are
-first-wins: if a presumed-dead worker resurfaces and reports a requeued
-task, the duplicate is ignored — evaluations are deterministic, so
-either copy is the same outcome — and re-connected workers never
-re-execute configs the store already decided, because decided configs
-are filtered out parent-side before tasks are ever created.  Cancelling
-a job aborts only its channel: its queued tasks are dropped, its leases
-are released from the quota ledger, and every other channel keeps
-running untouched.
+``worker_crash`` exactly like a fork-pool crash.  A worker that leaves
+cleanly (``bye``, e.g. after refusing a task whose workload it builds
+differently) hands its leases back without spending retry attempts; a
+malformed frame is a protocol error, so its sender is reaped and its
+leases requeued.  Results are first-wins: if a presumed-dead worker
+resurfaces and reports a requeued task, the duplicate is ignored —
+evaluations are deterministic, so either copy is the same outcome — and
+re-connected workers never re-execute configs the store already
+decided, because decided configs are filtered out parent-side before
+tasks are ever created.  Cancelling a job aborts only its channel: its
+queued tasks are dropped, its leases are released from the quota
+ledger, and every other channel keeps running untouched.
 """
 
 from __future__ import annotations
@@ -92,14 +97,12 @@ from repro.cluster.protocol import (
     ROLE_CLIENT,
     STATUS,
     SUBMIT,
-    SUPPORTED_VERSIONS,
     REJECTED,
     SOCKET_TIMEOUT,
     TASK,
     WAIT,
     WELCOME,
     ProtocolError,
-    negotiate_version,
     outcome_from_wire,
     pack_frame,
     parse_address,
@@ -109,7 +112,6 @@ from repro.cluster.protocol import (
 )
 from repro.config.model import Config
 from repro.search.batching import plan_batch, record_batch
-from repro.search.execution import DELTA_COUNTERS
 from repro.search.results import EvalOutcome
 from repro.search.retry import RetryPolicy
 from repro.telemetry import NULL_TELEMETRY
@@ -150,31 +152,29 @@ class _Task:
         self.done = False
         self.inflight = False       # currently leased (quota accounting)
 
-    def payload(self) -> dict:
+    def payload(self, info: dict) -> dict:
         return {
             "type": TASK,
             "task": self.task_id,
+            "job": self.job,
             "flags": self.flags,
             "digest": self.digest,
+            **info,
         }
 
 
 class _Batch:
     """One engine batch in flight on the loop."""
 
-    __slots__ = ("outcomes", "remaining", "deltas", "done")
+    __slots__ = ("outcomes", "remaining", "done")
 
     def __init__(self, size: int, loop) -> None:
         self.outcomes: list = [None] * size
         self.remaining = size
-        self.deltas = [0] * len(DELTA_COUNTERS)
         self.done = loop.create_future()
 
-    def finish_one(self, index: int, outcome: EvalOutcome, deltas=None) -> None:
+    def finish_one(self, index: int, outcome: EvalOutcome) -> None:
         self.outcomes[index] = outcome
-        if deltas:
-            for i, delta in enumerate(deltas[: len(self.deltas)]):
-                self.deltas[i] += int(delta)
         self.remaining -= 1
         if self.remaining == 0 and not self.done.done():
             self.done.set_result(None)
@@ -188,18 +188,18 @@ class _Channel:
     """Loop-side state for one campaign sharing the worker pool."""
 
     __slots__ = ("job_id", "tenant", "quantum", "deficit", "info", "events",
-                 "pending", "batch", "leased", "aborted")
+                 "retry", "pending", "batch", "leased", "aborted")
 
     def __init__(self, job_id: str, tenant: str, quantum: float,
-                 info: dict | None, events: deque) -> None:
+                 info: dict, events: deque, retry: RetryPolicy) -> None:
         self.job_id = job_id
         self.tenant = tenant
         self.quantum = quantum      # DRR credit earned per scheduler pass
         self.deficit = 0.0          # unspent credit (reset while idle)
-        #: per-task workload fields merged into task payloads (service
-        #: mode; None = the welcome already pinned the workload).
+        #: workload fields merged into every task payload
         self.info = info
         self.events = events        # (kind, fields) — drained engine-side
+        self.retry = retry          # the campaign's policy for lost tasks
         #: leasable tasks; a requeued task rejoins when its backoff ends
         self.pending: deque[_Task] = deque()
         self.batch: _Batch | None = None
@@ -220,15 +220,13 @@ class _Channel:
 class _WorkerConn:
     """Loop-side connection state for one network worker."""
 
-    __slots__ = ("wid", "name", "writer", "version", "leases", "last_seen",
+    __slots__ = ("wid", "name", "writer", "leases", "last_seen",
                  "parked_at", "reaped")
 
-    def __init__(self, wid: str, name: str, writer, version: int,
-                 now: float) -> None:
+    def __init__(self, wid: str, name: str, writer, now: float) -> None:
         self.wid = wid
         self.name = name
         self.writer = writer
-        self.version = version      # negotiated protocol version
         self.leases: dict[int, _Task] = {}
         self.last_seen = now
         self.parked_at = 0.0        # loop time its pending lease parked
@@ -240,22 +238,21 @@ class _Coordinator:
 
     def __init__(
         self,
-        welcome: dict,
-        retry: RetryPolicy,
         lease_timeout: float,
-        events: deque,
-        versions=SUPPORTED_VERSIONS,
         client_api=None,
         max_inflight: int | None = None,
         lease_log: bool = False,
     ) -> None:
-        self.welcome = welcome
-        self.retry = retry
         self.lease_timeout = lease_timeout
-        self.events = events        # global (kind, fields) queue
-        self.versions = tuple(versions)
+        self.events: deque = deque()   # global (kind, fields) queue
         #: service hook answering client job frames (None = worker-only)
         self.client_api = client_api
+        self.welcome = {
+            "type": WELCOME,
+            "version": PROTOCOL_VERSION,
+            "lease_timeout": lease_timeout,
+            "service": client_api is not None,
+        }
         #: per-tenant cap on simultaneously leased tasks (None = off;
         #: channels with an empty tenant are never capped)
         self.max_inflight = max_inflight
@@ -321,31 +318,17 @@ class _Coordinator:
             self.server.close()
             await self.server.wait_closed()
 
-    # -- channel registry (loop thread; sync core is also used before the
-    #    loop starts, when the owning evaluator wires its own channel) ----
+    # -- channel registry (loop thread) -------------------------------------
 
-    def register_channel(
-        self,
-        job_id: str,
-        tenant: str = "",
-        quantum: float = 1.0,
-        info: dict | None = None,
-        events: deque | None = None,
-    ) -> _Channel:
+    async def open_channel(self, job_id: str, info: dict, events: deque,
+                           retry: RetryPolicy, tenant: str = "",
+                           quantum: float = 1.0) -> None:
         if job_id in self.channels:
             raise ClusterError(f"channel {job_id!r} already registered")
-        channel = _Channel(
-            job_id, tenant, max(0.05, float(quantum)),
-            info, events if events is not None else self.events,
+        self.channels[job_id] = _Channel(
+            job_id, tenant, max(0.05, float(quantum)), info, events, retry,
         )
-        self.channels[job_id] = channel
         self._ring.append(job_id)
-        return channel
-
-    async def open_channel(self, job_id: str, tenant: str = "",
-                           quantum: float = 1.0, info: dict | None = None,
-                           events: deque | None = None) -> None:
-        self.register_channel(job_id, tenant, quantum, info, events)
 
     async def close_channel(self, job_id: str) -> None:
         self._abort_channel(job_id, "channel closed")
@@ -379,7 +362,7 @@ class _Coordinator:
 
     # -- batch dispatch (loop thread) ---------------------------------------
 
-    async def run_batch(self, job_id: str, payload: list) -> tuple[list, list]:
+    async def run_batch(self, job_id: str, payload: list) -> list:
         """Queue *payload* (``(flags, digest)`` pairs) as leasable tasks
         on *job_id*'s channel and wait until every one is decided."""
         channel = self.channels.get(job_id)
@@ -413,7 +396,7 @@ class _Coordinator:
                 self._release(task)
                 task.done = True
                 self.tasks.pop(task.task_id, None)
-        return batch.outcomes, batch.deltas
+        return batch.outcomes
 
     def _quota_blocked(self, channel: _Channel) -> bool:
         if self.max_inflight is None or not channel.tenant:
@@ -471,12 +454,8 @@ class _Coordinator:
                 return
             worker = self.idle.pop(next(iter(self.idle)))
             self._grant(worker, task)
-            payload = task.payload()
-            channel = self.channels.get(task.job)
-            if channel is not None and channel.info is not None:
-                payload["job"] = task.job
-                payload.update(channel.info)
-            worker.writer.write(pack_frame(payload))
+            info = self.channels[task.job].info
+            worker.writer.write(pack_frame(task.payload(info)))
 
     def _backoff_expired(self, task: _Task) -> None:
         """A requeued task's backoff is over: make it leasable again."""
@@ -508,14 +487,11 @@ class _Coordinator:
         hello = await recv_frame_async(reader)
         if hello is None or hello.get("type") != HELLO:
             return None, None
-        version = negotiate_version(hello, self.versions)
-        if version is None:
-            # Structured refusal (v3 satellite): the peer learns exactly
-            # which versions would have been accepted, then we close
-            # cleanly instead of silently dropping the connection.
-            await send_frame_async(
-                writer, unsupported_frame(hello, self.versions)
-            )
+        if hello.get("version") != PROTOCOL_VERSION:
+            # Structured refusal: the peer learns which version would
+            # have been accepted, then we close cleanly instead of
+            # silently dropping the connection.
+            await send_frame_async(writer, unsupported_frame(hello))
             return None, None
         if hello.get("role") == ROLE_CLIENT:
             if self.client_api is None:
@@ -525,22 +501,17 @@ class _Coordinator:
                                "submissions (start it with --service)",
                 })
                 return None, None
-            await send_frame_async(
-                writer,
-                {"type": WELCOME, "version": version, "service": True},
-            )
+            await send_frame_async(writer, self.welcome)
             return ROLE_CLIENT, None
         self._worker_seq += 1
         wid = f"w{self._worker_seq}"
         name = f"{hello.get('host', '?')}:{hello.get('pid', '?')}"
         now = asyncio.get_running_loop().time()
-        worker = _WorkerConn(wid, name, writer, version, now)
+        worker = _WorkerConn(wid, name, writer, now)
         self.workers[wid] = worker
         self.workers_seen += 1
         self.event("cluster.worker_join", worker=wid, name=name)
-        reply = dict(self.welcome)
-        reply["version"] = version
-        await send_frame_async(writer, reply)
+        await send_frame_async(writer, self.welcome)
         return None, worker
 
     async def _serve_client(self, reader, writer) -> None:
@@ -581,8 +552,7 @@ class _Coordinator:
             if kind == LEASE:
                 if self.closing:
                     await send_frame_async(writer, {"type": BYE})
-                    worker.reaped = True  # clean exit: not "lost"
-                    self.workers.pop(worker.wid, None)
+                    self._reap(worker, "bye", lost=False)
                     return
                 # Park; _dispatch answers with a task now or once one
                 # becomes leasable (the sweeper keeps long parks alive).
@@ -596,8 +566,9 @@ class _Coordinator:
                 # The worker survived but its evaluation blew up
                 # (instrumentation bug, unpicklable trap, ...): treat it
                 # like a crash of that one task — requeue elsewhere.
-                worker.leases.pop(message.get("task"), None)
-                self._task_lost(message.get("task"), "worker_error")
+                task_id = _task_id(message)
+                worker.leases.pop(task_id, None)
+                self._task_lost(task_id, "worker_error")
                 await send_frame_async(writer, {"type": OK})
             elif kind == HEARTBEAT:
                 self.event(
@@ -605,13 +576,12 @@ class _Coordinator:
                     worker=worker.wid, busy=len(worker.leases),
                 )
             elif kind == EVENTS:
-                # One-way telemetry forwarding (protocol v2): merge the
-                # worker's per-task events into the owning channel's
-                # queue, tagged with the worker id.  The worker's own
-                # clock is preserved as `worker_ts`; the engine-side
-                # drain stamps the merged trace's single monotonic `ts`
-                # on emission.
-                task_id = message.get("task")
+                # One-way telemetry forwarding: merge the worker's
+                # per-task events into the owning channel's queue, tagged
+                # with the worker id.  The worker's own clock is
+                # preserved as `worker_ts`; the engine-side drain stamps
+                # the merged trace's single monotonic `ts` on emission.
+                task_id = _task_id(message)
                 task = self.tasks.get(task_id)
                 job_id = task.job if task is not None else DEFAULT_CHANNEL
                 for forwarded in message.get("events", ()):
@@ -624,10 +594,7 @@ class _Coordinator:
                     fields.setdefault("task", task_id)
                     self.job_event(job_id, event_kind, **fields)
             elif kind == BYE:
-                worker.reaped = True
-                self.workers.pop(worker.wid, None)
-                self.idle.pop(worker.wid, None)
-                self._requeue_leases(worker, "bye")
+                self._reap(worker, "bye", lost=False)
                 return
             else:
                 raise ProtocolError(f"unexpected message {kind!r}")
@@ -673,7 +640,11 @@ class _Coordinator:
                     self.tenant_inflight.pop(channel.tenant, None)
 
     def _complete(self, worker: _WorkerConn, message: dict) -> None:
-        task_id = message.get("task")
+        # Validate before touching any state: a malformed frame raises
+        # ProtocolError, which reaps the worker with its leases intact
+        # so they are requeued.
+        task_id = _task_id(message)
+        outcome = outcome_from_wire(message.get("outcome"))
         worker.leases.pop(task_id, None)
         task = self.tasks.get(task_id)
         if task is None or task.done:
@@ -682,61 +653,68 @@ class _Coordinator:
         task.done = True
         channel = self.channels.get(task.job)
         if channel is not None and channel.batch is not None:
-            channel.batch.finish_one(
-                task.index,
-                outcome_from_wire(message["outcome"]),
-                message.get("deltas"),
-            )
+            channel.batch.finish_one(task.index, outcome)
         self._dispatch()  # the released quota may unblock a parked worker
 
-    def _task_lost(self, task_id, reason: str) -> None:
+    def _task_lost(self, task_id, reason: str, charge: bool = True) -> None:
+        """Requeue a task its worker lost.  A charged loss (crash, error,
+        expiry) spends a retry attempt and backs off; an uncharged one
+        (a worker leaving cleanly) is leasable again at once."""
         task = self.tasks.get(task_id)
         if task is None or task.done:
             return
         self._release(task)
         self._dispatch()  # the released quota may unblock a parked worker
-        task.attempts += 1
         channel = self.channels.get(task.job)
-        if self.retry.exhausted(task.attempts):
-            # Kept killing (or losing) its executor: classify, descend.
-            self.crashed_tasks += 1
-            self.job_event(task.job, "eval.worker_crash", attempts=task.attempts)
-            task.done = True
-            if channel is not None and channel.batch is not None:
-                channel.batch.finish_one(
-                    task.index,
-                    self.retry.crash_outcome(
-                        task.attempts, what="cluster worker died"
-                    ),
-                )
+        if channel is None:
             return
+        delay = 0.0
+        if charge:
+            task.attempts += 1
+            if channel.retry.exhausted(task.attempts):
+                # Kept killing (or losing) its executor: classify, descend.
+                self.crashed_tasks += 1
+                self.job_event(
+                    task.job, "eval.worker_crash", attempts=task.attempts
+                )
+                task.done = True
+                if channel.batch is not None:
+                    channel.batch.finish_one(
+                        task.index,
+                        channel.retry.crash_outcome(
+                            task.attempts, what="cluster worker died"
+                        ),
+                    )
+                return
+            delay = channel.retry.delay(task.attempts)
         self.requeues += 1
         loop = asyncio.get_running_loop()
-        task.not_before = loop.time() + self.retry.delay(task.attempts)
+        task.not_before = loop.time() + delay
         loop.call_at(task.not_before, self._backoff_expired, task)
         self.job_event(
             task.job, "cluster.requeue",
             task=task.task_id, attempts=task.attempts, reason=reason,
         )
 
-    def _requeue_leases(self, worker: _WorkerConn, reason: str) -> None:
-        leases = list(worker.leases.values())
-        worker.leases.clear()
-        for task in leases:
-            self._task_lost(task.task_id, reason)
-
-    def _reap(self, worker: _WorkerConn, reason: str) -> None:
-        """A worker is gone (EOF, protocol error, expired heartbeat)."""
+    def _reap(self, worker: _WorkerConn, reason: str,
+              lost: bool = True) -> None:
+        """A worker is gone and its leases are requeued: charged if it
+        was lost (EOF, protocol error, expired heartbeat), uncharged if
+        it left cleanly with ``bye``."""
         if worker.reaped:
             return
         worker.reaped = True
         self.workers.pop(worker.wid, None)
         self.idle.pop(worker.wid, None)
-        self.event(
-            "cluster.worker_lost",
-            worker=worker.wid, leases=len(worker.leases), reason=reason,
-        )
-        self._requeue_leases(worker, reason)
+        if lost:
+            self.event(
+                "cluster.worker_lost",
+                worker=worker.wid, leases=len(worker.leases), reason=reason,
+            )
+        leases = list(worker.leases.values())
+        worker.leases.clear()
+        for task in leases:
+            self._task_lost(task.task_id, reason, charge=lost)
 
     async def _sweep(self) -> None:
         """Expire workers whose heartbeats stopped (network partition,
@@ -759,33 +737,96 @@ class _Coordinator:
                     worker.writer.write(pack_frame({"type": WAIT, "delay": 0}))
 
 
-class BaseLeaseEvaluator:
-    """Engine-thread side of lease dispatch, shared by the standalone
-    :class:`ClusterEvaluator` and the service's per-job
-    :class:`~repro.service.evaluator.ServiceEvaluator`.
+def _task_id(message: dict) -> int:
+    task_id = message.get("task")
+    if not isinstance(task_id, int) or isinstance(task_id, bool):
+        raise ProtocolError(f"malformed task id {task_id!r}")
+    return task_id
 
-    Subclasses own the wiring (who creates the loop/coordinator, which
-    channel the batches ride) and call :meth:`_init_lease_state` before
-    first use; everything here — caches, counters, batch planning,
-    telemetry draining — is identical across both, which is what keeps
-    a service job byte-identical to a standalone search.
+
+class CoordinatorHost:
+    """The one owner of a coordinator's event-loop thread.
+
+    Starts the loop on a daemon thread and the coordinator's TCP server
+    on *bind*; :meth:`call` runs a coordinator coroutine from any other
+    thread, and :meth:`close` shuts the coordinator down and stops the
+    loop.  Used by both :class:`ClusterEvaluator` and
+    :class:`~repro.service.server.PrecisionService`.
     """
 
-    #: channel this evaluator submits batches on.
-    job_id = DEFAULT_CHANNEL
+    def __init__(self, coord: _Coordinator, bind: str, name: str) -> None:
+        self.coord = coord
+        self.loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self.loop.run_forever, name=name, daemon=True
+        )
+        self._thread.start()
+        host, port = parse_address(bind)
+        try:
+            self.host, self.port = self.call(coord.start(host, port), 10)
+        except BaseException:
+            self._stop_loop()
+            raise
 
-    def _init_lease_state(
+    @property
+    def address(self) -> str:
+        """The bound ``host:port``."""
+        return f"{self.host}:{self.port}"
+
+    def submit(self, coro) -> concurrent.futures.Future:
+        return asyncio.run_coroutine_threadsafe(coro, self.loop)
+
+    def call(self, coro, timeout: float = 5):
+        return self.submit(coro).result(timeout=timeout)
+
+    def close(self) -> None:
+        try:
+            self.call(self.coord.shutdown())
+        except (concurrent.futures.TimeoutError, RuntimeError):
+            pass
+        finally:
+            self._stop_loop()
+
+    def _stop_loop(self) -> None:
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self._thread.join(timeout=5)
+        if not self.loop.is_running():
+            self.loop.close()
+
+
+class BaseLeaseEvaluator:
+    """Engine-thread side of lease dispatch: one search riding one
+    channel of a coordinator that runs on *host*.
+
+    A standalone :class:`ClusterEvaluator` is this plus its own
+    coordinator; a service job is this on the service's shared one,
+    with its ``job`` (``job_id``, ``tenant``, ``quantum`` and
+    ``cancel_event``) naming the channel.  Caches, counters, batch
+    planning and telemetry draining are the same code either way, which
+    is what keeps a service job byte-identical to a standalone search.
+
+    Cancellation: the job's ``cancel_event`` is checked at every batch
+    boundary, and the service aborts the job's channel for a batch
+    already in flight; either path raises :class:`JobCancelled` on this
+    job's engine thread only.
+    """
+
+    def __init__(
         self,
+        host: CoordinatorHost,
         workload,
         tree,
-        optimize_checks: bool,
-        telemetry,
-        incremental: bool,
-        store,
-        store_workload: str,
-        retry: RetryPolicy | None,
+        job=None,
+        optimize_checks: bool = False,
+        telemetry=None,
+        incremental: bool = True,
+        store=None,
+        store_workload: str = "",
+        retry: RetryPolicy | None = None,
         lattice=None,
     ) -> None:
+        from repro.store import workload_id
+
         self.workload = workload
         self.tree = tree
         self.optimize_checks = optimize_checks
@@ -796,7 +837,8 @@ class BaseLeaseEvaluator:
         self.evaluations = 0
         self.cache_hits = 0
         self.store = store
-        self.store_workload = store_workload
+        wid = workload_id(workload)
+        self.store_workload = store_workload or wid
         self.store_hits = 0
         #: lattice spec salting the store's policy digests (see Evaluator)
         self.lattice = lattice
@@ -807,22 +849,46 @@ class BaseLeaseEvaluator:
         self.retry = retry if retry is not None else RetryPolicy()
         self._drain_interval = 0.05
         self._closed = False
-        # set by the subclass: the loop the coordinator runs on, the
-        # coordinator itself, and the deque its channel events land in.
-        self._loop: asyncio.AbstractEventLoop
-        self._coord: _Coordinator
-        self._events: deque
+        self._host = host
+        self._coord = host.coord
+        self._job = job
+        name = getattr(workload, "name", tree.program_name)
+        klass = getattr(workload, "klass", "")
+        if klass and name.endswith("." + klass):
+            name = name[: -(len(klass) + 1)]
+        # Every task frame carries these, so a worker builds (and
+        # caches) the workload each task names.
+        info = {
+            "workload": name,
+            "klass": klass,
+            "workload_id": wid,
+            "incremental": incremental,
+            "optimize_checks": optimize_checks,
+        }
+        if job is None:
+            # A standalone search's one channel shares the coordinator's
+            # global event queue, so worker lifecycle events land in the
+            # same trace.
+            self.job_id, tenant, quantum = DEFAULT_CHANNEL, "", 1.0
+            self._events = self._coord.events
+        else:
+            self.job_id, tenant, quantum = job.job_id, job.tenant, job.quantum
+            self._events = deque()
+        host.call(
+            self._coord.open_channel(
+                self.job_id, info, self._events, self.retry, tenant, quantum
+            ),
+            10,
+        )
 
     def _store_id(self) -> str:
-        if not self.store_workload:
-            from repro.store import workload_id
-
-            self.store_workload = workload_id(self.workload)
         return self.store_workload
 
     def _check_open(self) -> None:
         if self._closed:
             raise ClusterError("evaluator is closed")
+        if self._job is not None and self._job.cancel_event.is_set():
+            raise JobCancelled(f"{self.job_id}: job cancelled")
 
     # -- telemetry bridge ----------------------------------------------------
 
@@ -866,28 +932,30 @@ class BaseLeaseEvaluator:
                 for job in plan.jobs
             ]
             start = time.perf_counter()
-            future = asyncio.run_coroutine_threadsafe(
-                self._coord.run_batch(self.job_id, payload), self._loop
+            future = self._host.submit(
+                self._coord.run_batch(self.job_id, payload)
             )
             try:
                 while True:
                     try:
-                        outcomes, deltas = future.result(self._drain_interval)
+                        outcomes = future.result(self._drain_interval)
                         break
                     except concurrent.futures.TimeoutError:
                         self._drain_events()  # keep progress/traces live
             finally:
                 self._drain_events()
             batch_wall = time.perf_counter() - start
-            # Cache counters arrive through the forwarded worker event
-            # stream (metric.count, protocol v2); the RESULT deltas stay
-            # on the wire as a cross-check but are not folded in twice.
-            del deltas
         self._drain_events()
         return record_batch(self, plan, outcomes, batch_wall)
 
-    def close(self) -> None:  # pragma: no cover - subclass responsibility
-        raise NotImplementedError
+    def close(self) -> None:
+        """Close this evaluator's channel (the coordinator stays up)."""
+        if self._closed:
+            return
+        self._closed = True
+        with contextlib.suppress(Exception):  # loop already shutting down
+            self._host.call(self._coord.close_channel(self.job_id))
+        self._drain_events()
 
     def __enter__(self):
         return self
@@ -897,7 +965,8 @@ class BaseLeaseEvaluator:
 
 
 class ClusterEvaluator(BaseLeaseEvaluator):
-    """Evaluator that dispatches batches to network workers.
+    """Evaluator that dispatches batches to network workers: a
+    coordinator of its own, bound to *bind*, with one channel.
 
     Parameters mirror :class:`~repro.search.parallel.ParallelEvaluator`
     where they overlap; the extras:
@@ -916,9 +985,7 @@ class ClusterEvaluator(BaseLeaseEvaluator):
         merely busy — worker expires.
 
     Workers may connect at any time, including mid-search; a batch with
-    no connected workers simply waits for the first one to join.  The
-    coordinator it embeds speaks protocol v2 and v3, so older workers
-    keep working for this single-job case.
+    no connected workers simply waits for the first one to join.
     """
 
     def __init__(
@@ -935,48 +1002,19 @@ class ClusterEvaluator(BaseLeaseEvaluator):
         lease_timeout: float = 30.0,
         lattice=None,
     ) -> None:
-        from repro.store import workload_id
-
-        self._init_lease_state(
-            workload, tree, optimize_checks, telemetry, incremental,
-            store, store_workload, retry, lattice=lattice,
-        )
         self.lease_timeout = lease_timeout
-
-        name = getattr(workload, "name", tree.program_name)
-        klass = getattr(workload, "klass", "")
-        if klass and name.endswith("." + klass):
-            name = name[: -(len(klass) + 1)]
-        welcome = {
-            "type": WELCOME,
-            "version": PROTOCOL_VERSION,
-            "workload": name,
-            "klass": klass,
-            "workload_id": workload_id(workload),
-            "incremental": incremental,
-            "optimize_checks": optimize_checks,
-            "lease_timeout": lease_timeout,
-        }
-
-        self._events = deque()
-        self._coord = _Coordinator(
-            welcome, self.retry, lease_timeout, self._events
+        host = CoordinatorHost(
+            _Coordinator(lease_timeout), bind, "repro-cluster"
         )
-        # The one channel of a standalone search shares the global event
-        # queue, so draining stays exactly as it was pre-service.
-        self._coord.register_channel(DEFAULT_CHANNEL, events=self._events)
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-cluster", daemon=True
-        )
-        self._thread.start()
-        host, port = parse_address(bind)
         try:
-            self.host, self.port = asyncio.run_coroutine_threadsafe(
-                self._coord.start(host, port), self._loop
-            ).result(timeout=10)
+            super().__init__(
+                host, workload, tree,
+                optimize_checks=optimize_checks, telemetry=telemetry,
+                incremental=incremental, store=store,
+                store_workload=store_workload, retry=retry, lattice=lattice,
+            )
         except BaseException:
-            self._stop_loop()
+            host.close()
             raise
 
     # -- coordinator stats ---------------------------------------------------
@@ -984,7 +1022,7 @@ class ClusterEvaluator(BaseLeaseEvaluator):
     @property
     def address(self) -> str:
         """The bound ``host:port`` workers should connect to."""
-        return f"{self.host}:{self.port}"
+        return self._host.address
 
     @property
     def workers_connected(self) -> int:
@@ -1009,19 +1047,5 @@ class ClusterEvaluator(BaseLeaseEvaluator):
     def close(self) -> None:
         if self._closed:
             return
-        self._closed = True
-        try:
-            asyncio.run_coroutine_threadsafe(
-                self._coord.shutdown(), self._loop
-            ).result(timeout=5)
-        except (concurrent.futures.TimeoutError, RuntimeError):
-            pass
-        finally:
-            self._stop_loop()
-            self._drain_events()
-
-    def _stop_loop(self) -> None:
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5)
-        if not self._loop.is_running():
-            self._loop.close()
+        super().close()
+        self._host.close()

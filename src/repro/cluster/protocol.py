@@ -9,21 +9,18 @@ Message flow (worker-initiated request/response, except heartbeats)::
 
     worker                         coordinator
     ------                         -----------
-    hello {version, versions,
-           role, host, pid}     ->
-                                <- welcome {version, workload, klass,
-                                            workload_id, incremental,
-                                            optimize_checks,
-                                            lease_timeout}
+    hello {version, role,
+           host, pid}           ->
+                                <- welcome {version, lease_timeout,
+                                            service}
                                    | unsupported {supported, message}
-                                     (structured refusal + clean close;
-                                      `versions` lists everything the
-                                      worker speaks so both sides can
-                                      settle on the highest shared
-                                      version — a v2 worker still
-                                      serves a single-job coordinator)
+                                     (structured refusal + clean close:
+                                      `version` must equal the
+                                      coordinator's PROTOCOL_VERSION)
     lease {}                    ->    (parks until a task is leasable)
-                                <- task {task, flags, digest}
+                                <- task {task, job, flags, digest,
+                                         workload, klass, workload_id,
+                                         incremental, optimize_checks}
                                    | wait {delay: 0}  (keepalive for a
                                                        lease parked long;
                                                        lease again)
@@ -35,8 +32,7 @@ Message flow (worker-initiated request/response, except heartbeats)::
                                        that task, merged by the
                                        coordinator into the unified
                                        trace tagged with the worker id)
-    result {task, outcome,
-            deltas}             ->
+    result {task, outcome}      ->
                                 <- ok {}
     error {task, message}       ->
                                 <- ok {}
@@ -44,16 +40,22 @@ Message flow (worker-initiated request/response, except heartbeats)::
                                        the worker's heartbeat thread to
                                        keep its leases alive during long
                                        evaluations)
-    bye {}                      ->    (clean disconnect)
+    bye {}                      ->    (clean disconnect; leases it still
+                                       holds are requeued uncharged)
 
-Client flow (protocol v3, ``hello`` with ``role: "client"`` — spoken by
+Every ``task`` names its own workload, so one worker serves a
+standalone search (one channel) and a job service (one channel per
+job) alike, building and caching each workload it meets.
+
+Client flow (``hello`` with ``role: "client"`` — spoken by
 :mod:`repro.service` against a ``repro serve --service`` coordinator)::
 
     client                         service
     ------                         -------
-    hello {version, versions,
+    hello {version,
            role: "client"}      ->
-                                <- welcome {version, service: true}
+                                <- welcome {version, lease_timeout,
+                                            service: true}
                                    | unsupported {supported, message}
     submit {workload, klass,
             tenant, options}    ->
@@ -100,24 +102,17 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import socket
 import struct
 import time
 
-#: bump on any incompatible message-shape change; hello/welcome carry it
-#: and mismatches are refused at handshake time.
-#: v2: one-way ``events`` frames forward worker telemetry to the
-#: coordinator for merged-trace aggregation.
-#: v3: version negotiation (hello ``versions`` list, ``unsupported``
-#: refusals), connection roles (worker/client), client job frames
-#: (submit/status/result/cancel/list), and per-task workload fields so
-#: one worker serves many concurrent campaigns.
-PROTOCOL_VERSION = 3
-
-#: every version this endpoint can speak; the handshake settles on the
-#: highest version both sides list (a peer that predates ``versions``
-#: implicitly offers only its single ``version``).
-SUPPORTED_VERSIONS = (2, 3)
+#: bump on any incompatible message-shape change.  ``hello`` carries it
+#: and the coordinator accepts only an equal version: workers, clients
+#: and coordinator ship from the same tree, so there is nothing to
+#: negotiate.  v4: ``welcome`` pins no workload (every ``task`` names
+#: its own) and ``result`` carries no counter deltas.
+PROTOCOL_VERSION = 4
 
 #: frames above this are a protocol violation (a config flag map for a
 #: huge program is ~100 KiB; 16 MiB is three orders of magnitude slack).
@@ -141,9 +136,9 @@ HEARTBEAT = "heartbeat"
 EVENTS = "events"
 OK = "ok"
 BYE = "bye"
-# handshake refusal (v3): structured "I don't speak your version"
+# handshake refusal: structured "I don't speak your version"
 UNSUPPORTED = "unsupported"
-# client job frames (v3, role: "client")
+# client job frames (role: "client")
 SUBMIT = "submit"
 SUBMITTED = "submitted"
 STATUS = "status"
@@ -153,13 +148,22 @@ JOB = "job"
 JOBS = "jobs"
 REJECTED = "rejected"
 
-# connection roles carried in hello (v3); absent = worker (v2 peers)
+# connection roles carried in hello; absent = worker
 ROLE_WORKER = "worker"
 ROLE_CLIENT = "client"
 
 
 class ProtocolError(RuntimeError):
     """Malformed frame, oversized frame, or an unexpected message."""
+
+
+class HandshakeRefused(ProtocolError):
+    """``hello`` was answered with something other than ``welcome``;
+    ``code`` is ``"unsupported"`` for a protocol-version mismatch."""
+
+    def __init__(self, message: str, code: str = "") -> None:
+        super().__init__(message)
+        self.code = code
 
 
 def pack_frame(message: dict) -> bytes:
@@ -216,6 +220,36 @@ def send_frame(sock: socket.socket, message: dict) -> None:
 def send_frames(sock: socket.socket, messages) -> None:
     """Send several frames with one ``sendall``, in order."""
     sock.sendall(b"".join(pack_frame(message) for message in messages))
+
+
+def hello_frame(role: str) -> dict:
+    """The frame that opens a connection as *role*."""
+    return {
+        "type": HELLO,
+        "version": PROTOCOL_VERSION,
+        "role": role,
+        "host": socket.gethostname(),
+        "pid": os.getpid(),
+    }
+
+
+def check_welcome(reply: dict | None) -> dict:
+    """Return the reply to :func:`hello_frame` if it is a ``welcome``,
+    else raise :class:`HandshakeRefused`."""
+    if reply is None:
+        raise HandshakeRefused("peer closed the connection during handshake")
+    kind = reply.get("type")
+    if kind == WELCOME:
+        return reply
+    if kind == UNSUPPORTED:
+        raise HandshakeRefused(
+            f"{reply.get('message', 'protocol version refused')} "
+            f"(peer supports {reply.get('supported')})",
+            code="unsupported",
+        )
+    if kind == ERROR:
+        raise HandshakeRefused(reply.get("message", "handshake refused"))
+    raise HandshakeRefused(f"expected welcome, got {kind!r}")
 
 
 def recv_frame(sock: socket.socket) -> dict | None:
@@ -284,46 +318,37 @@ def parse_address(address: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def offered_versions(hello: dict) -> list[int]:
-    """Every protocol version a ``hello`` frame offers.
-
-    v3 peers send an explicit ``versions`` list; older peers only carry
-    the single ``version`` integer, which counts as a one-element offer
-    so negotiation covers them uniformly.
-    """
-    offered = hello.get("versions")
-    if not isinstance(offered, (list, tuple)):
-        offered = [hello.get("version")]
-    return sorted({int(v) for v in offered if isinstance(v, int)})
-
-
-def negotiate_version(hello: dict, supported=SUPPORTED_VERSIONS) -> int | None:
-    """Pick the highest version both sides speak, or None if disjoint."""
-    shared = set(offered_versions(hello)) & set(supported)
-    return max(shared) if shared else None
-
-
-def unsupported_frame(hello: dict, supported=SUPPORTED_VERSIONS) -> dict:
-    """The structured refusal sent when negotiation finds no overlap."""
-    offered = offered_versions(hello)
+def unsupported_frame(hello: dict) -> dict:
+    """The structured refusal for a ``hello`` of another version."""
     return {
         "type": UNSUPPORTED,
-        "supported": sorted(supported),
+        "supported": [PROTOCOL_VERSION],
         "message": (
-            f"peer offers protocol version(s) {offered or '?'}, "
-            f"this coordinator speaks {sorted(supported)}"
+            f"peer speaks protocol version {hello.get('version')!r}, "
+            f"this coordinator speaks {PROTOCOL_VERSION}"
         ),
     }
 
 
 def outcome_to_wire(outcome) -> list:
-    """EvalOutcome -> JSON-safe list (NamedTuples serialize as lists
-    anyway; this pins the order as part of the protocol)."""
-    return [bool(outcome.passed), int(outcome.cycles), outcome.trap, outcome.reason]
+    """EvalOutcome -> ``[passed, cycles, trap, reason]`` (the order is
+    part of the protocol)."""
+    return [bool(outcome.passed), int(outcome.cycles), str(outcome.trap),
+            str(outcome.reason)]
 
 
 def outcome_from_wire(wire) -> tuple:
+    """Inverse of :func:`outcome_to_wire`; :class:`ProtocolError` unless
+    *wire* is exactly ``[bool, int, str, str]``."""
     from repro.search.results import EvalOutcome
 
-    passed, cycles, trap, reason = wire
-    return EvalOutcome(bool(passed), int(cycles), str(trap), str(reason))
+    if (
+        not isinstance(wire, list)
+        or len(wire) != 4
+        or not isinstance(wire[0], bool)
+        or not isinstance(wire[1], int) or isinstance(wire[1], bool)
+        or not isinstance(wire[2], str)
+        or not isinstance(wire[3], str)
+    ):
+        raise ProtocolError(f"malformed outcome {wire!r}")
+    return EvalOutcome(*wire)

@@ -1,25 +1,22 @@
 """The network worker: a stateless evaluation client.
 
-``repro worker HOST:PORT`` connects to a coordinator, learns which
-workload the search is over from the ``welcome`` message, rebuilds that
-workload *locally* (programs are compiled deterministically, so the
-coordinator only ships a name — and the content-addressed
-``workload_id`` in the handshake catches any version skew between the
-two hosts), then loops: lease a task, execute it through the shared
-:mod:`repro.search.execution` kernel, report the outcome.  All search
+``repro worker HOST:PORT`` connects to a coordinator and loops: lease a
+task, execute it through the shared :mod:`repro.search.execution`
+kernel, report the outcome.  Every ``task`` frame names its
+``workload``/``klass``/``workload_id``, so one worker serves a
+standalone search and every concurrent campaign of a job service alike.
+The worker rebuilds each workload *locally* (programs are compiled
+deterministically, so the coordinator only ships a name) and caches it,
+with its incremental VM state, per ``workload_id``; the
+content-addressed id catches any version skew between the two hosts at
+the first task that names it.  A skewed worker refuses the task and
+leaves with ``bye``, which hands the lease back uncharged.  All search
 state lives on the coordinator; a worker can be killed, restarted, or
 added mid-search without changing the result.
 
-Against a multi-campaign job service (protocol v3) the ``welcome``
-carries no workload at all — each ``task`` frame names its own
-``workload``/``klass``/``workload_id`` — so one worker serves every
-concurrent campaign.  Workloads (and their incremental VM state) are
-built lazily and cached per ``workload_id``, with the same skew check
-per task that the v2 handshake does once.  The handshake negotiates the
-protocol version: the worker offers everything it speaks and the
-coordinator picks the highest shared version, answering a structured
-``unsupported`` frame (instead of a silent disconnect) when there is no
-overlap.
+The handshake carries :data:`~repro.cluster.protocol.PROTOCOL_VERSION`;
+a coordinator of another version answers a structured ``unsupported``
+frame instead of a silent disconnect.
 
 A ``lease`` the coordinator cannot fill at once is parked there: the
 worker simply blocks on its socket until a ``task`` arrives (or a
@@ -52,19 +49,17 @@ from repro.cluster.protocol import (
     ERROR,
     EVENTS,
     HEARTBEAT,
-    HELLO,
     LEASE,
     OK,
-    PROTOCOL_VERSION,
     RESULT,
     ROLE_WORKER,
-    SUPPORTED_VERSIONS,
     TASK,
-    UNSUPPORTED,
     WAIT,
-    WELCOME,
+    HandshakeRefused,
     ProtocolError,
+    check_welcome,
     dial,
+    hello_frame,
     outcome_to_wire,
     recv_frame,
     send_frame,
@@ -109,42 +104,21 @@ def connect(
         ) from None
 
 
-def _handshake(sock: socket.socket) -> dict:
-    send_frame(sock, {
-        "type": HELLO,
-        "version": PROTOCOL_VERSION,
-        "versions": list(SUPPORTED_VERSIONS),
-        "role": ROLE_WORKER,
-        "host": socket.gethostname(),
-        "pid": os.getpid(),
-    })
-    welcome = recv_frame(sock)
-    if welcome is None:
-        raise WorkerError("coordinator closed the connection during handshake")
-    if welcome.get("type") == UNSUPPORTED:
-        raise WorkerError(
-            f"{welcome.get('message', 'protocol version refused')} "
-            f"(coordinator supports {welcome.get('supported')})"
-        )
-    if welcome.get("type") == ERROR:
-        raise WorkerError(welcome.get("message", "handshake refused"))
-    if welcome.get("type") != WELCOME:
-        raise ProtocolError(f"expected welcome, got {welcome.get('type')!r}")
-    return welcome
-
-
 class _WorkloadCache:
     """Per-``workload_id`` build of (workload, tree, incremental state).
 
-    A v2 coordinator pins one workload in the welcome; a v3 job service
-    ships the workload per task instead.  Either way the build is
-    validated against the coordinator's content-addressed id, so version
-    skew between hosts surfaces as a refusal rather than wrong results.
+    Each build is validated against the coordinator's content-addressed
+    id, so version skew between hosts surfaces as a refusal rather than
+    wrong results.
     """
 
     def __init__(self, telemetry) -> None:
         self.telemetry = telemetry
         self._built: dict[str, tuple] = {}
+
+    def names(self) -> list[str]:
+        """``name.class`` of every workload built, in build order."""
+        return [workload.name for workload, _, _ in self._built.values()]
 
     def get(self, name: str, klass: str, expected_id: str,
             incremental: bool) -> tuple:
@@ -221,33 +195,25 @@ def run_worker(
     connect_backoff: float = 0.1,
 ) -> dict:
     """Serve one coordinator until it says ``bye`` (or *max_tasks* runs
-    out); returns ``{"tasks": n, "workload": name}`` run statistics."""
+    out); returns ``{"tasks": n, "workloads": ["name.class", ...]}`` run
+    statistics, naming every workload this worker built."""
     sock = connect(address, connect_retries, connect_backoff)
     send_lock = threading.Lock()
     heartbeat = None
     tasks_done = 0
-    welcome = {}
+    # Local telemetry buffer: per-task events are flushed to the
+    # coordinator as one-way `events` frames so the search's trace
+    # covers worker-side activity too, cache counters included (as
+    # metric.count events).
+    events_sink = ListSink()
+    wtel = Telemetry(sinks=[events_sink])
+    builds = _WorkloadCache(wtel)
     try:
-        welcome = _handshake(sock)
-        # Local telemetry buffer: per-task events are flushed to the
-        # coordinator as one-way `events` frames so the search's trace
-        # covers worker-side activity too (protocol v2).  Cache counters
-        # ride this stream as metric.count events, superseding the
-        # deltas fold-in the coordinator used to do from RESULT frames.
-        events_sink = ListSink()
-        wtel = Telemetry(sinks=[events_sink])
-        builds = _WorkloadCache(wtel)
-        # Welcome-pinned workload (v2 single-search coordinators); a job
-        # service sends an empty workload and names one per task.
-        pinned = None
-        if welcome.get("workload"):
-            pinned = builds.get(
-                welcome["workload"],
-                welcome.get("klass", ""),
-                welcome["workload_id"],
-                bool(welcome.get("incremental")),
-            )
-        default_checks = bool(welcome.get("optimize_checks"))
+        send_frame(sock, hello_frame(ROLE_WORKER))
+        try:
+            welcome = check_welcome(recv_frame(sock))
+        except HandshakeRefused as exc:
+            raise WorkerError(f"coordinator refused: {exc}") from None
         interval = max(0.005, float(welcome.get("lease_timeout", 30.0)) / 4)
         heartbeat = _Heartbeat(sock, send_lock, interval)
         heartbeat.start()
@@ -263,31 +229,20 @@ def run_worker(
             if kind != TASK:
                 raise ProtocolError(f"expected task/wait/bye, got {kind!r}")
             _maybe_crash()
-            if "workload_id" in reply:
-                # v3 multi-campaign task: the frame names its workload.
-                workload, tree, state = builds.get(
-                    reply["workload"],
-                    reply.get("klass", ""),
-                    reply["workload_id"],
-                    bool(reply.get("incremental")),
-                )
-                optimize_checks = bool(
-                    reply.get("optimize_checks", default_checks)
-                )
-            elif pinned is not None:
-                workload, tree, state = pinned
-                optimize_checks = default_checks
-            else:
-                raise WorkerError(
-                    "task names no workload and the welcome pinned none"
-                )
+            workload, tree, state = builds.get(
+                reply["workload"],
+                reply.get("klass", ""),
+                reply["workload_id"],
+                bool(reply.get("incremental")),
+            )
+            optimize_checks = bool(reply.get("optimize_checks"))
             flags = {
                 nid: Policy(policy) for nid, policy in reply["flags"].items()
             }
             config = Config(tree, flags)
             started = time.perf_counter()
             try:
-                outcome, deltas = execute_config(
+                outcome, _ = execute_config(
                     workload, config, state, optimize_checks, telemetry=wtel
                 )
             except Exception as exc:  # an evaluation bug, not a protocol one
@@ -310,7 +265,6 @@ def run_worker(
                     "type": RESULT,
                     "task": reply["task"],
                     "outcome": outcome_to_wire(outcome),
-                    "deltas": list(deltas),
                 }, events_sink)
                 tasks_done += 1
             ack = recv_frame(sock)
@@ -327,4 +281,4 @@ def run_worker(
         except OSError:
             pass
         sock.close()
-    return {"tasks": tasks_done, "workload": welcome.get("workload", "")}
+    return {"tasks": tasks_done, "workloads": builds.names()}

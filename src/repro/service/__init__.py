@@ -9,13 +9,15 @@ owns one :mod:`repro.cluster` coordinator — and therefore one shared
 worker pool — and hosts many concurrent search campaigns on top of it:
 
 - A :class:`~repro.service.jobs.JobRegistry` accepts jobs over the wire
-  (cluster protocol v3 ``submit``/``status``/``result``/``cancel``/
-  ``list`` frames alongside the existing worker frames) with per-tenant
+  (the cluster protocol's ``submit``/``status``/``result``/``cancel``/
+  ``list`` frames alongside the worker frames) with per-tenant
   admission quotas.
 - Each job runs its own engine on a dedicated thread against an
-  isolated campaign directory (journal + trace + metrics), so every
-  result is byte-identical to the standalone search of the same
-  options — differential-tested.
+  isolated campaign directory (journal + trace + metrics), evaluating
+  through the same :class:`~repro.cluster.coordinator.BaseLeaseEvaluator`
+  as a standalone ``--cluster`` search (which is this coordinator with
+  one channel), so every result is byte-identical to the standalone
+  search of the same options — differential-tested.
 - Leases are multiplexed across campaigns by the coordinator's deficit
   round-robin scheduler with per-tenant in-flight quotas, so a big
   campaign cannot starve a small one.

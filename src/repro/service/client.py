@@ -1,4 +1,4 @@
-"""Synchronous client for the job service's protocol-v3 frames.
+"""Synchronous client for the job service's protocol frames.
 
 :class:`ServiceClient` speaks the same length-prefixed JSON framing as
 the workers, but handshakes with ``role: "client"`` and then exchanges
@@ -10,29 +10,24 @@ sockets and JSON can submit campaigns.
 
 from __future__ import annotations
 
-import os
-import socket
 import time
 
 from repro.cluster.protocol import (
     BYE,
     CANCEL,
-    ERROR,
-    HELLO,
     JOB,
     JOBS,
     LIST,
-    PROTOCOL_VERSION,
     REJECTED,
     RESULT,
     ROLE_CLIENT,
     STATUS,
     SUBMIT,
     SUBMITTED,
-    SUPPORTED_VERSIONS,
-    UNSUPPORTED,
-    WELCOME,
+    HandshakeRefused,
+    check_welcome,
     dial,
+    hello_frame,
     recv_frame,
     send_frame,
 )
@@ -65,29 +60,13 @@ class ServiceClient:
                 f"cannot reach service at {address}: {exc}"
             ) from None
         self.address = address
-        send_frame(self.sock, {
-            "type": HELLO,
-            "version": PROTOCOL_VERSION,
-            "versions": list(SUPPORTED_VERSIONS),
-            "role": ROLE_CLIENT,
-            "host": socket.gethostname(),
-            "pid": os.getpid(),
-        })
-        welcome = recv_frame(self.sock)
-        if welcome is None:
-            raise ServiceError("service closed the connection during handshake")
-        if welcome.get("type") == UNSUPPORTED:
-            raise ServiceError(
-                f"{welcome.get('message', 'protocol version refused')}",
-                code="unsupported",
-            )
-        if welcome.get("type") == ERROR:
-            raise ServiceError(welcome.get("message", "handshake refused"))
-        if welcome.get("type") != WELCOME or not welcome.get("service"):
-            raise ServiceError(
-                f"{address} is not a job service (got "
-                f"{welcome.get('type')!r})"
-            )
+        send_frame(self.sock, hello_frame(ROLE_CLIENT))
+        try:
+            welcome = check_welcome(recv_frame(self.sock))
+        except HandshakeRefused as exc:
+            raise ServiceError(f"service refused: {exc}", exc.code) from None
+        if not welcome.get("service"):
+            raise ServiceError(f"{address} is not a job service")
 
     # -- request/response core ------------------------------------------------
 

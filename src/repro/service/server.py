@@ -4,10 +4,10 @@
 coordinator (and its asyncio loop thread, TCP endpoint, and worker
 pool) and runs every accepted job's :class:`~repro.search.bfs.SearchEngine`
 on a dedicated thread against a per-job channel of that coordinator —
-the "coordinator owns many engines" inversion of the standalone
-``--cluster`` search.  One TCP port serves both populations: workers
-handshake with ``role: "worker"`` (protocol v3 only here — tasks carry
-their workload per frame), clients with ``role: "client"`` and the
+the "coordinator owns many engines" generalisation of the standalone
+``--cluster`` search, which is the same coordinator with one channel.
+One TCP port serves both populations: workers handshake with
+``role: "worker"``, clients with ``role: "client"`` and the
 ``submit``/``status``/``result``/``cancel``/``list`` job frames.
 
 Layout of the service root directory::
@@ -34,17 +34,19 @@ appends out of it.
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
 import contextlib
 import json
 import os
 import threading
 import time
-from collections import deque
 
 from repro.campaign import Campaign
-from repro.cluster.coordinator import _Coordinator, JobCancelled
+from repro.cluster.coordinator import (
+    BaseLeaseEvaluator,
+    CoordinatorHost,
+    JobCancelled,
+    _Coordinator,
+)
 from repro.cluster.protocol import (
     CANCEL,
     JOB,
@@ -55,15 +57,12 @@ from repro.cluster.protocol import (
     STATUS,
     SUBMIT,
     SUBMITTED,
-    WELCOME,
-    parse_address,
 )
 from repro.config.fileformat import dump_config
 from repro.config.generator import build_tree
 from repro.config.model import Config
 from repro.search.bfs import SearchEngine
 from repro.search.retry import RetryPolicy
-from repro.service.evaluator import ServiceEvaluator
 from repro.service.jobs import (
     CANCELLED,
     COMPLETE,
@@ -76,10 +75,6 @@ from repro.service.jobs import (
 from repro.store import ResultStore
 from repro.telemetry import JsonlSink, MetricsRegistry, Telemetry
 from repro.workloads import REGISTRY
-
-#: service protocol: workers must speak v3 (tasks name their workload);
-#: v2 workers remain usable against single-job ``repro serve``.
-_SERVICE_VERSIONS = (3,)
 
 
 class PrecisionService:
@@ -129,42 +124,14 @@ class PrecisionService:
         self.lease_timeout = lease_timeout
         self.registry = JobRegistry(max_queued=max_queued)
         self.store = ResultStore(os.path.join(self.root, "store.sqlite"))
-        self._events: deque = deque()   # service-global (kind, fields)
-        welcome = {
-            "type": WELCOME,
-            "version": _SERVICE_VERSIONS[-1],
-            "service": True,
-            # No pinned workload: every task frame names its own.
-            "workload": "",
-            "klass": "",
-            "workload_id": "",
-            "incremental": True,
-            "optimize_checks": False,
-            "lease_timeout": lease_timeout,
-        }
         self._coord = _Coordinator(
-            welcome,
-            RetryPolicy(),
             lease_timeout,
-            self._events,
-            versions=_SERVICE_VERSIONS,
             client_api=self,
             max_inflight=max_inflight,
             lease_log=lease_log,
         )
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-service", daemon=True
-        )
-        self._thread.start()
-        host, port = parse_address(bind)
-        try:
-            self.host, self.port = asyncio.run_coroutine_threadsafe(
-                self._coord.start(host, port), self._loop
-            ).result(timeout=10)
-        except BaseException:
-            self._stop_loop()
-            raise
+        self._events = self._coord.events   # service-global (kind, fields)
+        self._host = CoordinatorHost(self._coord, bind, "repro-service")
         self._closed = False
         self._closing = threading.Event()
         self._drainer = threading.Thread(
@@ -193,7 +160,7 @@ class PrecisionService:
     @property
     def address(self) -> str:
         """The bound ``host:port`` for both workers and clients."""
-        return f"{self.host}:{self.port}"
+        return self._host.address
 
     @property
     def workers_connected(self) -> int:
@@ -312,9 +279,7 @@ class PrecisionService:
         # abort unblocks a batch already in flight.
         job.cancel_event.set()
         with contextlib.suppress(Exception):
-            asyncio.run_coroutine_threadsafe(
-                self._coord.cancel_channel(job.job_id), self._loop
-            ).result(timeout=5)
+            self._host.call(self._coord.cancel_channel(job.job_id))
         return job.state
 
     def _run_job(self, job) -> None:
@@ -348,10 +313,11 @@ class PrecisionService:
                 metrics=metrics,
             )
             tree = build_tree(workload.program)
-            evaluator = ServiceEvaluator(
-                self, job, workload, tree,
+            evaluator = BaseLeaseEvaluator(
+                self._host, workload, tree, job=job,
                 telemetry=telemetry,
                 incremental=options.incremental,
+                store=self.store,
                 retry=RetryPolicy(options.retry_limit, options.retry_backoff),
             )
             # A supplied evaluator is externally owned: the engine keeps
@@ -446,9 +412,7 @@ class PrecisionService:
             log = self._coord.lease_log
             return list(log) if log is not None else []
 
-        return asyncio.run_coroutine_threadsafe(
-            grab(), self._loop
-        ).result(timeout=5)
+        return self._host.call(grab())
 
     def wait_all(self, timeout: float = 300.0) -> bool:
         """Block until every admitted job reaches a terminal state."""
@@ -477,22 +441,11 @@ class PrecisionService:
             if job.thread is not None:
                 job.thread.join(timeout=10)
         try:
-            asyncio.run_coroutine_threadsafe(
-                self._coord.shutdown(), self._loop
-            ).result(timeout=5)
-        except (concurrent.futures.TimeoutError, RuntimeError):
-            pass
+            self._host.close()
         finally:
-            self._stop_loop()
             self._closing.set()
             self._drainer.join(timeout=5)
             self.store.close()
-
-    def _stop_loop(self) -> None:
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5)
-        if not self._loop.is_running():
-            self._loop.close()
 
     def __enter__(self) -> "PrecisionService":
         return self

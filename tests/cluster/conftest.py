@@ -86,7 +86,6 @@ class FakeWorker:
         send_frame(self.sock, {
             "type": "result", "task": task_id,
             "outcome": [passed, cycles, trap, reason],
-            "deltas": [0, 0, 0, 0],
         })
         ack = recv_frame(self.sock)
         assert ack["type"] == "ok"

@@ -1,6 +1,7 @@
 """CLI surface of the cluster subsystem: `search --cluster`, the
-`serve` alias, and `worker` failure modes."""
+`serve` alias, and the `worker` summary and failure modes."""
 
+import re
 import socket
 import threading
 
@@ -8,6 +9,8 @@ import pytest
 
 from repro.cli import main
 from repro.cluster import run_worker
+from repro.search import SearchEngine, SearchOptions
+from repro.workloads import make_workload
 
 
 def _free_port() -> int:
@@ -49,6 +52,18 @@ class TestSearchCluster:
 
 
 class TestWorkerCommand:
+    def test_summary_names_the_workloads_built(self, capsys):
+        engine = SearchEngine(
+            make_workload("mg", "T"), SearchOptions(cluster="127.0.0.1:0")
+        )
+        search = threading.Thread(target=engine.run, daemon=True)
+        search.start()
+        assert main(["worker", engine.evaluator.address]) == 0
+        search.join(timeout=30)
+        assert not search.is_alive()
+        out = capsys.readouterr().out
+        assert re.fullmatch(r"worker done: \d+ tasks \(mg\.T\)\n", out), out
+
     def test_unreachable_coordinator_exits_one(self, capsys):
         address = f"127.0.0.1:{_free_port()}"  # nothing listening
         assert main(["worker", address, "--connect-retries", "0"]) == 1

@@ -2,8 +2,8 @@
 
 Real workers are exercised by the differential tests; here a raw socket
 speaks the protocol directly so the lease lifecycle (versioning,
-requeue, retry exhaustion, duplicate results, heartbeats, parked
-leases) can be pinned message by message.
+requeue, retry exhaustion, duplicate results, malformed frames,
+heartbeats, parked leases) can be pinned message by message.
 """
 
 import threading
@@ -11,13 +11,14 @@ import time
 
 import pytest
 
-from repro.cluster import ClusterEvaluator, PROTOCOL_VERSION, SUPPORTED_VERSIONS
+from repro.cluster import ClusterEvaluator, PROTOCOL_VERSION
 from repro.cluster.protocol import recv_frame, send_frame
 from repro.config.generator import build_tree
 from repro.config.model import Config, Policy
-from repro.search.results import REASON_WORKER_CRASH
+from repro.search.results import REASON_WORKER_CRASH, EvalOutcome
 from repro.search.retry import RetryPolicy
 from repro.store import workload_id
+from repro.telemetry import ListSink, Telemetry
 from repro.workloads import make_workload
 
 from tests.cluster.conftest import FakeWorker
@@ -79,42 +80,43 @@ def _configs(tree, count):
 
 
 class TestHandshake:
-    def test_welcome_describes_the_search(self, evaluator, workload):
+    def test_task_describes_the_search(self, evaluator, workload, tree):
+        # The welcome pins no workload; every task names its own, so a
+        # standalone search is a job service with one channel.
+        thread, box = _batch_async(evaluator, _configs(tree, 1))
         worker = FakeWorker(evaluator.address)
         try:
-            assert worker.welcome["type"] == "welcome"
-            assert worker.welcome["workload"] == "cg"
-            assert worker.welcome["klass"] == "T"
-            assert worker.welcome["workload_id"] == workload_id(workload)
-            assert worker.welcome["version"] == PROTOCOL_VERSION
+            assert worker.welcome == {
+                "type": "welcome", "version": PROTOCOL_VERSION,
+                "lease_timeout": 10.0, "service": False,
+            }
+            task = worker.lease_task()
+            assert task["workload"] == "cg"
+            assert task["klass"] == "T"
+            assert task["workload_id"] == workload_id(workload)
+            assert task["incremental"] is True
+            assert task["optimize_checks"] is False
+            worker.result(task["task"])
         finally:
             worker.close()
+        thread.join(timeout=10)
+        assert box["outcomes"][0].passed
         assert evaluator.workers_seen == 1
 
     def test_version_mismatch_refused(self, evaluator):
-        # v3 satellite: an unknown version gets a structured refusal
-        # naming every acceptable version, then a clean close.
-        worker = FakeWorker(evaluator.address, version=PROTOCOL_VERSION + 1)
-        try:
-            assert worker.welcome["type"] == "unsupported"
-            assert worker.welcome["supported"] == sorted(SUPPORTED_VERSIONS)
-            assert "version" in worker.welcome["message"]
-            # clean close: EOF at a frame boundary, not a reset
-            assert recv_frame(worker.sock) is None
-        finally:
-            worker.close()
+        # Any other version, older or newer, gets a structured refusal
+        # naming the one acceptable version, then a clean close.
+        for version in (PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1):
+            worker = FakeWorker(evaluator.address, version=version)
+            try:
+                assert worker.welcome["type"] == "unsupported"
+                assert worker.welcome["supported"] == [PROTOCOL_VERSION]
+                assert "version" in worker.welcome["message"]
+                # clean close: EOF at a frame boundary, not a reset
+                assert recv_frame(worker.sock) is None
+            finally:
+                worker.close()
         assert evaluator.workers_seen == 0
-
-    def test_v2_worker_still_served(self, evaluator):
-        # Version negotiation keeps plain-v2 workers usable against a
-        # single-job coordinator: hello carries only `version: 2`.
-        worker = FakeWorker(evaluator.address, version=2)
-        try:
-            assert worker.welcome["type"] == "welcome"
-            assert worker.welcome["version"] == 2
-        finally:
-            worker.close()
-        assert evaluator.workers_seen == 1
 
 
 class TestParkedLeases:
@@ -310,6 +312,77 @@ class TestLeaseLifecycle:
             assert ev.requeues == 0
         finally:
             ev.close()
+
+    @pytest.mark.parametrize("frame", [
+        {"outcome": [True, 5]},
+        {"outcome": ["yes", 5, "", ""]},
+        {"outcome": [True, "5", "", ""]},
+        {"outcome": [True, 5, None, ""]},
+        {"outcome": None},
+        {"task": [1], "outcome": [True, 5, "", ""]},
+        {"task": "1", "outcome": [True, 5, "", ""]},
+        {"task": None, "outcome": [True, 5, "", ""]},
+        {"type": "error", "task": [1], "message": "boom"},
+        {"type": "events", "task": "1", "events": []},
+    ])
+    def test_malformed_frame_reaps_worker_and_requeues(self, evaluator,
+                                                       tree, frame):
+        # Validation comes before any state changes: the bad frame
+        # reaps its sender with the lease still held, so the lease is
+        # requeued and a healthy worker completes the batch.
+        thread, box = _batch_async(evaluator, _configs(tree, 1))
+        bad = FakeWorker(evaluator.address)
+        try:
+            task = bad.lease_task()
+            send_frame(bad.sock, {"type": "result", "task": task["task"],
+                                  **frame})
+            assert recv_frame(bad.sock) is None  # reaped
+        finally:
+            bad.close()
+        good = FakeWorker(evaluator.address)
+        try:
+            requeued = good.lease_task()
+            assert requeued["task"] == task["task"]
+            good.result(requeued["task"], passed=True, cycles=42)
+        finally:
+            good.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert box["outcomes"] == [EvalOutcome(True, 42, "", "")]
+        assert evaluator.requeues == 1
+
+    def test_bye_returns_leases_without_charging_an_attempt(self, workload,
+                                                            tree):
+        # retry_limit=0: a charged loss would classify the config as
+        # worker_crash.  A clean bye (a worker leaving, or refusing a
+        # task it builds differently) must not.
+        sink = ListSink()
+        ev = ClusterEvaluator(
+            workload, tree, retry=RetryPolicy(limit=0), lease_timeout=10.0,
+            telemetry=Telemetry(sinks=[sink]),
+        )
+        try:
+            thread, box = _batch_async(ev, _configs(tree, 1))
+            leaving = FakeWorker(ev.address)
+            task = leaving.lease_task()
+            send_frame(leaving.sock, {"type": "bye"})
+            leaving.close()
+            good = FakeWorker(ev.address)
+            try:
+                requeued = good.lease_task()
+                assert requeued["task"] == task["task"]
+                good.result(requeued["task"], passed=True, cycles=6)
+            finally:
+                good.close()
+            thread.join(timeout=10)
+            assert box["outcomes"] == [EvalOutcome(True, 6, "", "")]
+            assert ev.crashed_configs == 0
+        finally:
+            ev.close()
+        kinds = [event["kind"] for event in sink.events]
+        assert "eval.worker_crash" not in kinds
+        requeues = [e for e in sink.events if e["kind"] == "cluster.requeue"]
+        assert [(e["reason"], e["attempts"]) for e in requeues] == [("bye", 0)]
 
     def test_heartbeats_do_not_break_pairing(self, evaluator, tree):
         thread, box = _batch_async(evaluator, _configs(tree, 1))

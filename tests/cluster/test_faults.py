@@ -1,12 +1,14 @@
 """Crash-fault differentials with real worker processes.
 
-Two failure modes, both against a live coordinator:
+Three failure modes, all against a live coordinator:
 
 * deterministic: a worker that ``os._exit``-s while holding a lease
   (the ``REPRO_WORKER_EXIT_SENTINEL`` crash-once idiom), plus a worker
   joining mid-search — the union of everything the paper's "many
   independent tests" machinery must shrug off;
-* violent: SIGKILL of a worker process mid-batch.
+* violent: SIGKILL of a worker process mid-batch;
+* skew: a worker that builds the task's workload differently refuses
+  the task and leaves with ``bye``.
 
 In every case the final configuration and configs_tested must be
 byte-identical to the serial engine, and the trace must show the lease
@@ -21,11 +23,17 @@ import sys
 import threading
 import time
 
+import pytest
+
+from repro.cluster import WorkerError, run_worker
+from repro.cluster import worker as worker_mod
 from repro.config.fileformat import dump_config
 from repro.search import SearchEngine, SearchOptions
-from repro.telemetry import JsonlSink, Telemetry
+from repro.telemetry import JsonlSink, ListSink, Telemetry
 from repro.telemetry.events import validate_event
 from repro.workloads import make_workload
+
+from tests.cluster.conftest import workers_running
 
 _REPO = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
@@ -140,3 +148,41 @@ class TestWorkerFaults:
         kinds = _trace_kinds(trace)
         assert kinds["cluster.worker_lost"] >= 1
         assert kinds.get("cluster.worker_join", 0) >= 2
+
+
+class TestWorkloadSkew:
+    def test_skewed_worker_spends_no_retry_budget(self, serial_cg,
+                                                  monkeypatch):
+        # retry_limit=0: one charged loss would classify a healthy
+        # config as worker_crash.  The skew check runs at the first task
+        # (the welcome names no workload), and the refusing worker's
+        # bye hands that task back uncharged.
+        reference, reference_config = serial_cg
+        sink = ListSink()
+        engine = SearchEngine(
+            make_workload("cg", "T"),
+            SearchOptions(cluster="127.0.0.1:0", retry_limit=0),
+            telemetry=Telemetry(sinks=[sink]),
+        )
+        address = engine.evaluator.address
+        box = {}
+        runner = threading.Thread(
+            target=lambda: box.update(result=engine.run()), daemon=True
+        )
+        runner.start()
+        with monkeypatch.context() as patch:
+            # This "host" builds another program under the task's name.
+            patch.setattr(worker_mod, "make_workload",
+                          lambda name, klass: make_workload("mg", klass))
+            with pytest.raises(WorkerError, match="version skew"):
+                run_worker(address)
+        with workers_running(address):
+            runner.join(timeout=300)
+        result = box["result"]
+
+        assert dump_config(result.final_config) == reference_config
+        assert result.configs_tested == reference.configs_tested
+        kinds = [event["kind"] for event in sink.events]
+        assert "eval.worker_crash" not in kinds
+        requeues = [e for e in sink.events if e["kind"] == "cluster.requeue"]
+        assert [e["reason"] for e in requeues] == ["bye"]

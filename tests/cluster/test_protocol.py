@@ -7,11 +7,9 @@ import pytest
 
 from repro.cluster.protocol import (
     MAX_FRAME,
-    SUPPORTED_VERSIONS,
+    PROTOCOL_VERSION,
     UNSUPPORTED,
     ProtocolError,
-    negotiate_version,
-    offered_versions,
     outcome_from_wire,
     outcome_to_wire,
     pack_frame,
@@ -103,34 +101,30 @@ class TestHelpers:
         ):
             assert outcome_from_wire(outcome_to_wire(outcome)) == outcome
 
+    @pytest.mark.parametrize("wire", [
+        [True, 5],
+        [True, 5, "", "", ""],
+        (True, 5, "", ""),
+        [1, 5, "", ""],
+        [True, 5.0, "", ""],
+        [True, False, "", ""],
+        [True, 5, None, ""],
+        [True, 5, "", 0],
+        None,
+    ])
+    def test_malformed_outcome_is_a_protocol_error(self, wire):
+        with pytest.raises(ProtocolError, match="malformed outcome"):
+            outcome_from_wire(wire)
+
 
 class TestNegotiation:
-    def test_offered_versions_prefers_the_list(self):
-        assert offered_versions({"versions": [3, 2, 2], "version": 1}) == [2, 3]
-
-    def test_offered_versions_falls_back_to_scalar(self):
-        # v2 workers send only the scalar "version" field
-        assert offered_versions({"version": 2}) == [2]
-
-    def test_offered_versions_ignores_junk(self):
-        assert offered_versions({"versions": ["x", 2, None]}) == [2]
-        assert offered_versions({"version": "nope"}) == []
-
-    def test_negotiate_picks_highest_shared(self):
-        assert negotiate_version({"versions": [2, 3]}, (2, 3)) == 3
-        assert negotiate_version({"version": 2}, (2, 3)) == 2
-
-    def test_negotiate_disjoint_is_none(self):
-        assert negotiate_version({"versions": [1]}, (2, 3)) is None
-        assert negotiate_version({}, (2, 3)) is None
-
     def test_unsupported_frame_names_both_sides(self):
-        frame = unsupported_frame({"versions": [1]}, (2, 3))
+        frame = unsupported_frame({"version": 1})
         assert frame["type"] == UNSUPPORTED
-        assert frame["supported"] == [2, 3]
-        assert "[1]" in frame["message"]
+        assert frame["supported"] == [PROTOCOL_VERSION]
+        assert "1" in frame["message"]
+        assert str(PROTOCOL_VERSION) in frame["message"]
 
     def test_defaults_track_the_module_constants(self):
-        assert negotiate_version(
-            {"versions": list(SUPPORTED_VERSIONS)}
-        ) == max(SUPPORTED_VERSIONS)
+        # One version, no negotiation: the refusal offers exactly it.
+        assert unsupported_frame({})["supported"] == [PROTOCOL_VERSION]

@@ -12,7 +12,7 @@ import pytest
 
 from repro.cluster import run_worker
 from repro.cluster import worker as worker_mod
-from repro.cluster.protocol import _decode, pack_frame
+from repro.cluster.protocol import PROTOCOL_VERSION, _decode, pack_frame
 from repro.cluster.worker import WorkerError, _report, connect
 from repro.store import workload_id
 from repro.telemetry import ListSink
@@ -46,23 +46,31 @@ class RecordingSocket:
         pass
 
 
+WELCOME = {
+    "type": "welcome", "version": PROTOCOL_VERSION,
+    "lease_timeout": 3600.0, "service": False,
+}
+
+
+def _task(wid: str) -> dict:
+    return {
+        "type": "task", "job": "", "flags": {}, "digest": "d",
+        "workload": "cg", "klass": "T", "workload_id": wid,
+        "incremental": True, "optimize_checks": False,
+    }
+
+
 class TestOneWritePerResult:
     def test_each_task_reports_in_one_write(self, monkeypatch):
-        workload = make_workload("cg", "T")
-        welcome = {
-            "type": "welcome", "version": 3, "workload": "cg", "klass": "T",
-            "workload_id": workload_id(workload), "incremental": True,
-            "optimize_checks": False, "lease_timeout": 3600.0,
-        }
-        task = {"type": "task", "flags": {}, "digest": "d"}
+        task = _task(workload_id(make_workload("cg", "T")))
         stub = RecordingSocket([
-            welcome,
+            WELCOME,
             dict(task, task=1), {"type": "ok"},
             dict(task, task=2), {"type": "ok"},
             {"type": "bye"},
         ])
         monkeypatch.setattr(worker_mod, "connect", lambda *args: stub)
-        assert run_worker("stub:0")["tasks"] == 2
+        assert run_worker("stub:0") == {"tasks": 2, "workloads": ["cg.T"]}
         kinds = [[frame["type"] for frame in write] for write in stub.writes]
         assert kinds == [
             ["hello"],
@@ -81,6 +89,19 @@ class TestOneWritePerResult:
         _report(stub, threading.Lock(),
                 {"type": "error", "task": 4, "message": "x"}, ListSink())
         assert stub.writes == [[{"type": "error", "task": 4, "message": "x"}]]
+
+
+class TestWorkloadSkew:
+    def test_skewed_task_is_refused_with_bye(self, monkeypatch):
+        # The skew check runs at the first task naming a workload: the
+        # worker refuses it and leaves with a clean bye, which hands the
+        # lease back to the coordinator uncharged.
+        stub = RecordingSocket([WELCOME, dict(_task("cg.T@0"), task=1)])
+        monkeypatch.setattr(worker_mod, "connect", lambda *args: stub)
+        with pytest.raises(WorkerError, match="version skew"):
+            run_worker("stub:0")
+        kinds = [[frame["type"] for frame in write] for write in stub.writes]
+        assert kinds == [["hello"], ["lease"], ["bye"]]
 
 
 class TestDial:

@@ -1,5 +1,5 @@
 """The wire protocol as a client sees it: submit/status/result/cancel/
-list round-trips, structured rejections, and version negotiation at the
+list round-trips, structured rejections, and the version check at the
 service's front door.
 """
 
@@ -10,6 +10,7 @@ import pytest
 
 from repro.cluster.protocol import (
     HELLO,
+    PROTOCOL_VERSION,
     ROLE_WORKER,
     UNSUPPORTED,
     parse_address,
@@ -105,21 +106,21 @@ class TestConnection:
 
 class TestNegotiation:
     def test_v2_worker_gets_structured_unsupported(self, service):
-        # The service's tasks carry per-frame workloads, which only v3
-        # workers understand — a v2-only worker must be refused with the
-        # structured reply and a clean close, not a hang or a traceback.
+        # A worker of any other protocol version (here an old v2 one)
+        # must be refused with the structured reply and a clean close,
+        # not a hang or a traceback.
         sock = socket.create_connection(
             parse_address(service.address), timeout=10
         )
         try:
             send_frame(sock, {
-                "type": HELLO, "version": 2, "versions": [2],
+                "type": HELLO, "version": 2,
                 "role": ROLE_WORKER,
                 "host": socket.gethostname(), "pid": os.getpid(),
             })
             reply = recv_frame(sock)
             assert reply["type"] == UNSUPPORTED
-            assert 3 in reply["supported"]
+            assert reply["supported"] == [PROTOCOL_VERSION]
             assert "version" in reply["message"]
             assert recv_frame(sock) is None  # clean close
         finally:
@@ -131,12 +132,13 @@ class TestNegotiation:
         )
         try:
             send_frame(sock, {
-                "type": HELLO, "version": 1, "versions": [1],
+                "type": HELLO, "version": PROTOCOL_VERSION + 1,
                 "role": "client",
                 "host": socket.gethostname(), "pid": os.getpid(),
             })
             reply = recv_frame(sock)
             assert reply["type"] == UNSUPPORTED
+            assert reply["supported"] == [PROTOCOL_VERSION]
             assert recv_frame(sock) is None
         finally:
             sock.close()

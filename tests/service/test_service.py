@@ -6,9 +6,15 @@ trajectory.
 
 import json
 import os
+import threading
 import time
 
+import pytest
+
+from repro.cluster import WorkerError, run_worker
+from repro.cluster import worker as worker_mod
 from repro.service.jobs import CANCELLED, COMPLETE, FAILED, RUNNING
+from repro.workloads import make_workload
 
 from tests.service.conftest import service_running
 
@@ -78,6 +84,34 @@ class TestDifferential:
             assert svc.cancel("j99") is None
             assert job.state == COMPLETE
 
+    def test_skewed_worker_spends_no_retry_budget(
+        self, tmp_path, serial_mg, monkeypatch
+    ):
+        # retry_limit=0: one charged loss would classify a healthy
+        # config as worker_crash and change the result.  A worker that
+        # builds the task's workload differently refuses it with a
+        # clean bye, which hands the lease back uncharged.
+        reference, reference_config = serial_mg
+        with service_running(tmp_path) as svc:
+            job = svc.submit("mg", "T", options={"retry_limit": 0})
+            with monkeypatch.context() as patch:
+                patch.setattr(worker_mod, "make_workload",
+                              lambda name, klass: make_workload("cg", klass))
+                with pytest.raises(WorkerError, match="version skew"):
+                    run_worker(svc.address)
+            good = threading.Thread(target=run_worker, args=(svc.address,),
+                                    daemon=True)
+            good.start()
+            assert svc.wait_all(timeout=300)
+        good.join(timeout=30)
+        assert job.state == COMPLETE, job.error
+        assert job.config_text == reference_config
+        assert job.tested == reference.configs_tested
+        with open(os.path.join(job.path, "trace.jsonl")) as handle:
+            kinds = [json.loads(line)["kind"] for line in handle]
+        assert "eval.worker_crash" not in kinds
+        assert "cluster.requeue" in kinds
+
 
 class TestJobArtifacts:
     def test_job_directory_layout(self, tmp_path):
@@ -130,15 +164,16 @@ class TestJobArtifacts:
         # lands before the batch is registered, so the channel abort
         # finds no batch.  The abort must stick: the batch that follows
         # fails at once instead of waiting forever on a worker-less pool.
-        from repro.service.evaluator import ServiceEvaluator
+        from repro.cluster.coordinator import BaseLeaseEvaluator
 
-        original = ServiceEvaluator._check_open
+        original = BaseLeaseEvaluator._check_open
 
         def check_then_cancel(evaluator):
             original(evaluator)
             svc.cancel(evaluator.job_id)
 
-        monkeypatch.setattr(ServiceEvaluator, "_check_open", check_then_cancel)
+        monkeypatch.setattr(BaseLeaseEvaluator, "_check_open",
+                            check_then_cancel)
         with service_running(tmp_path) as svc:
             job = svc.submit("cg", "T")
             assert svc.wait_all(timeout=60)
