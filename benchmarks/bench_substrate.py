@@ -21,25 +21,36 @@ from repro.vm import VM, fuse, run_program
 from repro.workloads import make_nas
 
 
-def measure_dispatch(bench: str = "ep", klass: str = "W", repeats: int = 3) -> dict:
+def measure_dispatch(
+    bench: str = "ep", klass: str = "W", repeats: int = 10,
+    instrumented: bool = False,
+) -> dict:
     """Instructions/second, per-instruction loop vs fused dispatch.
 
     Same program, same VM parameters; only the dispatch strategy
     differs.  The two runs must agree on every observable (outputs,
     cycles, steps) — the speedup is pure dispatch overhead removed.
+    *instrumented* runs the program with every candidate replaced
+    (all-f32), so the snippet idioms (flag test, downcast, narrow op)
+    make up most of what executes.
     """
     program = make_nas(bench, klass).program
+    label = f"{bench}.{klass}"
+    if instrumented:
+        config = Config.all_single(build_tree(program))
+        program = instrument(program, config).program
+        label += " all-f32"
     walls = {}
     results = {}
-    for label, fused in (("per_instruction", False), ("fused", True)):
+    for name, fused in (("per_instruction", False), ("fused", True)):
         best = float("inf")
         for _ in range(repeats):
             vm = VM(program, fused=fused)
             start = time.perf_counter()
             result = vm.run()
             best = min(best, time.perf_counter() - start)
-        walls[label] = best
-        results[label] = result
+        walls[name] = best
+        results[name] = result
 
     ref, fst = results["per_instruction"], results["fused"]
     assert fst.outputs == ref.outputs, "fused dispatch changed program output"
@@ -48,7 +59,7 @@ def measure_dispatch(bench: str = "ep", klass: str = "W", repeats: int = 3) -> d
 
     steps = ref.steps
     return {
-        "benchmark": f"{bench}.{klass}",
+        "benchmark": label,
         "steps": steps,
         "per_instruction_wall_s": round(walls["per_instruction"], 4),
         "fused_wall_s": round(walls["fused"], 4),
@@ -61,10 +72,10 @@ def measure_dispatch(bench: str = "ep", klass: str = "W", repeats: int = 3) -> d
     }
 
 
-def _format_dispatch(row: dict) -> str:
-    return "\n".join(
-        [
-            "Interpreter dispatch — per-instruction loop vs fused runs",
+def _format_dispatch(rows: list) -> str:
+    lines = ["Interpreter dispatch — per-instruction loop vs fused runs"]
+    for row in rows:
+        lines += [
             "",
             f"{row['benchmark']}: {row['steps']} instructions "
             f"(byte-identical results)",
@@ -73,7 +84,7 @@ def _format_dispatch(row: dict) -> str:
             f"  speedup         {row['dispatch_speedup']:>11.2f}x   "
             f"({row['compiled_runs']} compiled run bodies process-wide)",
         ]
-    )
+    return "\n".join(lines)
 
 
 def test_vm_dispatch_rate(benchmark):
@@ -85,16 +96,20 @@ def test_vm_dispatch_rate(benchmark):
 
 
 def test_dispatch_fused_vs_reference(benchmark):
-    row = benchmark.pedantic(measure_dispatch, rounds=1, iterations=1)
-    emit("interpreter_dispatch", _format_dispatch(row))
+    rows = benchmark.pedantic(
+        lambda: [measure_dispatch(), measure_dispatch(instrumented=True)],
+        rounds=1, iterations=1,
+    )
+    emit("interpreter_dispatch", _format_dispatch(rows))
     merge_json_rows(
         "BENCH_search",
-        {"rows": [row], "primary": row},
+        {"rows": rows, "primary": rows[0]},
         section="interpreter",
     )
     # Fused dispatch exists to beat the reference loop; a ratio at or
     # below 1.0 means the fast path stopped paying for itself.
-    assert row["dispatch_speedup"] > 1.0, row
+    for row in rows:
+        assert row["dispatch_speedup"] > 1.0, row
 
 
 def test_vm_load_precompile(benchmark):

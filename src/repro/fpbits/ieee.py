@@ -74,13 +74,33 @@ def is_nan_bits32(bits: int) -> bool:
     return (bits & 0x7F800000) == 0x7F800000 and (bits & 0x007FFFFF) != 0
 
 
+def commutative_nan(x: float, y: float, r: float) -> float:
+    """The result of a commutative ``x op y`` whose host result *r* is NaN.
+
+    SSE returns the first operand's NaN (quieted) if it is one, else the
+    second's, else the default NaN the operation produced.  CPython's float
+    ``+`` and ``*`` leave the operand order to the C compiler, and its
+    generic and specialized paths disagree, so without this choice two
+    NaN operands would give a payload that changes once a call site
+    warms up.  ``x + x`` quiets *x* whichever way round it is computed.
+    """
+    if x != x:
+        return x + x
+    if y != y:
+        return y + y
+    return r
+
+
 # ---------------------------------------------------------------------------
 # Double-precision arithmetic on 64-bit patterns.
 # ---------------------------------------------------------------------------
 
 
 def double_add(a: int, b: int) -> int:
-    return double_to_bits(bits_to_double(a) + bits_to_double(b))
+    x = bits_to_double(a)
+    y = bits_to_double(b)
+    r = x + y
+    return double_to_bits(r if r == r else commutative_nan(x, y, r))
 
 
 def double_sub(a: int, b: int) -> int:
@@ -88,7 +108,10 @@ def double_sub(a: int, b: int) -> int:
 
 
 def double_mul(a: int, b: int) -> int:
-    return double_to_bits(bits_to_double(a) * bits_to_double(b))
+    x = bits_to_double(a)
+    y = bits_to_double(b)
+    r = x * y
+    return double_to_bits(r if r == r else commutative_nan(x, y, r))
 
 
 def double_div(a: int, b: int) -> int:
@@ -150,7 +173,10 @@ def double_max(a: int, b: int) -> int:
 
 
 def single_add(a: int, b: int) -> int:
-    return single_to_bits(bits_to_single(a) + bits_to_single(b))
+    x = bits_to_single(a)
+    y = bits_to_single(b)
+    r = x + y
+    return single_to_bits(r if r == r else commutative_nan(x, y, r))
 
 
 def single_sub(a: int, b: int) -> int:
@@ -158,7 +184,10 @@ def single_sub(a: int, b: int) -> int:
 
 
 def single_mul(a: int, b: int) -> int:
-    return single_to_bits(bits_to_single(a) * bits_to_single(b))
+    x = bits_to_single(a)
+    y = bits_to_single(b)
+    r = x * y
+    return single_to_bits(r if r == r else commutative_nan(x, y, r))
 
 
 def single_div(a: int, b: int) -> int:

@@ -29,6 +29,7 @@ import struct
 from repro.fpbits.ieee import (
     _ieee_div_by_zero,
     bits_to_single,
+    commutative_nan,
     single_to_bits,
 )
 
@@ -109,7 +110,10 @@ def is_nan_bits_f16(bits: int) -> bool:
 
 
 def bf16_add(a: int, b: int) -> int:
-    return bf16_to_bits(bits_to_bf16(a) + bits_to_bf16(b))
+    x = bits_to_bf16(a)
+    y = bits_to_bf16(b)
+    r = x + y
+    return bf16_to_bits(r if r == r else commutative_nan(x, y, r))
 
 
 def bf16_sub(a: int, b: int) -> int:
@@ -117,7 +121,10 @@ def bf16_sub(a: int, b: int) -> int:
 
 
 def bf16_mul(a: int, b: int) -> int:
-    return bf16_to_bits(bits_to_bf16(a) * bits_to_bf16(b))
+    x = bits_to_bf16(a)
+    y = bits_to_bf16(b)
+    r = x * y
+    return bf16_to_bits(r if r == r else commutative_nan(x, y, r))
 
 
 def bf16_div(a: int, b: int) -> int:
@@ -201,7 +208,10 @@ def bf16_log(a: int) -> int:
 
 
 def f16_add(a: int, b: int) -> int:
-    return f16_to_bits(bits_to_f16(a) + bits_to_f16(b))
+    x = bits_to_f16(a)
+    y = bits_to_f16(b)
+    r = x + y
+    return f16_to_bits(r if r == r else commutative_nan(x, y, r))
 
 
 def f16_sub(a: int, b: int) -> int:
@@ -209,7 +219,10 @@ def f16_sub(a: int, b: int) -> int:
 
 
 def f16_mul(a: int, b: int) -> int:
-    return f16_to_bits(bits_to_f16(a) * bits_to_f16(b))
+    x = bits_to_f16(a)
+    y = bits_to_f16(b)
+    r = x * y
+    return f16_to_bits(r if r == r else commutative_nan(x, y, r))
 
 
 def f16_div(a: int, b: int) -> int:

@@ -32,13 +32,21 @@ to the per-instruction loop —
   index of the faulting instruction; the VM stamps the absolute text
   address on, producing the same message the reference loop produces.
   Integer division by zero raises a plain address-less ``VmTrap``,
-  exactly like the reference helpers.
+  exactly like the reference helpers;
+* registers and flags live in locals inside a run and are stored back
+  before every guard and every exit, so each trap, HALT and return
+  leaves the state lists exactly as the reference loop does.
+
+Immediates (sign extension, shift counts, compare operands) are folded
+into literals at emission, and scalar add/sub/mul and the binary32 and
+binary64 conversions reinterpret bits through the VM's scratch views
+(:func:`scratch_views`) instead of calling the ``ieee`` helpers.
 
 Generated factories are position- and VM-independent: branch targets,
-return addresses, MPI identity and the state arrays are passed as
-factory arguments, so one compiled factory (keyed by the run's
-*unpatched template bytes* plus the cost model) is shared across every
-program, configuration and Machine in the process.
+return addresses, MPI identity, the state arrays and the scratch views
+are passed as factory arguments, so one compiled factory (keyed by the
+run's *unpatched template bytes* plus the cost model) is shared across
+every program, configuration and Machine in the process.
 """
 
 from __future__ import annotations
@@ -51,9 +59,11 @@ from repro.vm.errors import VmTrap
 _M64 = 0xFFFFFFFFFFFFFFFF
 _M32 = 0xFFFFFFFF
 _HI32 = 0xFFFFFFFF00000000
-_SIGN64 = 1 << 63
+_SB = 1 << 63
 _INT_INDEFINITE = 0x8000000000000000
 _XORSHIFT_MULT = 2685821657736338717
+_NEG_INF32 = 0xFF800000
+_POS_INF32 = 0x7F800000
 
 
 class FusedTrap(VmTrap):
@@ -73,34 +83,28 @@ class Unfusable(Exception):
     """Internal: this instruction has no fused template."""
 
 
-def _s64(v: int) -> int:
-    return v - 0x10000000000000000 if v & _SIGN64 else v
-
-
-#: globals handed to every exec'd factory — the same helpers the
-#: reference closures call, bound once.
+#: globals handed to every exec'd factory: constants plus the helpers
+#: of the operations a run does not inline, bound once.
 _EXEC_GLOBALS = {
-    "__builtins__": {"abs": abs, "float": float, "int": int, "len": len},
+    "__builtins__": {
+        "abs": abs, "float": float, "int": int, "len": len,
+        "OverflowError": OverflowError,
+    },
     "_M64": _M64,
     "_M32": _M32,
     "_HI32": _HI32,
+    "_SB": _SB,
     "_INT_INDEFINITE": _INT_INDEFINITE,
     "_XORSHIFT_MULT": _XORSHIFT_MULT,
-    "_s64": _s64,
     "_FT": FusedTrap,
     "VmTrap": VmTrap,
-    "bits_to_double": ieee.bits_to_double,
-    "bits_to_single": ieee.bits_to_single,
-    "double_to_bits": ieee.double_to_bits,
-    "single_to_bits": ieee.single_to_bits,
 }
 for _name in (
-    "double_add", "double_sub", "double_mul", "double_div", "double_min",
-    "double_max", "double_sqrt", "double_abs", "double_neg", "double_sin",
-    "double_cos", "double_exp", "double_log",
-    "single_add", "single_sub", "single_mul", "single_div", "single_min",
-    "single_max", "single_sqrt", "single_abs", "single_neg", "single_sin",
-    "single_cos", "single_exp", "single_log",
+    "commutative_nan",
+    "double_div", "double_min", "double_max", "double_sqrt", "double_abs",
+    "double_neg", "double_sin", "double_cos", "double_exp", "double_log",
+    "single_div", "single_min", "single_max", "single_sqrt", "single_abs",
+    "single_neg", "single_sin", "single_cos", "single_exp", "single_log",
 ):
     _EXEC_GLOBALS[_name] = getattr(ieee, _name)
 for _name in (
@@ -113,8 +117,17 @@ for _name in (
 ):
     _EXEC_GLOBALS[_name] = getattr(narrow, _name)
 
+#: add/sub/mul are inlined as host float arithmetic on the operands'
+#: bits reinterpreted through the VM's scratch views; the rest call the
+#: same helpers as the reference closures.
+_FP_ARITH = {
+    Op.ADDSD: "+", Op.SUBSD: "-", Op.MULSD: "*",
+    Op.ADDSS: "+", Op.SUBSS: "-", Op.MULSS: "*",
+    Op.ADDPD: "+", Op.SUBPD: "-", Op.MULPD: "*",
+    Op.ADDPS: "+", Op.SUBPS: "-", Op.MULPS: "*",
+}
 _FPD_BIN = {
-    Op.ADDSD: "double_add", Op.SUBSD: "double_sub", Op.MULSD: "double_mul",
+    Op.ADDSD: None, Op.SUBSD: None, Op.MULSD: None,
     Op.DIVSD: "double_div", Op.MINSD: "double_min", Op.MAXSD: "double_max",
 }
 _FPD_UN = {
@@ -123,7 +136,7 @@ _FPD_UN = {
     Op.LOGSD: "double_log",
 }
 _FPS_BIN = {
-    Op.ADDSS: "single_add", Op.SUBSS: "single_sub", Op.MULSS: "single_mul",
+    Op.ADDSS: None, Op.SUBSS: None, Op.MULSS: None,
     Op.DIVSS: "single_div", Op.MINSS: "single_min", Op.MAXSS: "single_max",
 }
 _FPS_UN = {
@@ -159,13 +172,13 @@ _FPN_CODEC_OPS = {
     Op.CVTHF2SD: ("bits_to_f16", "f16_to_bits"),
 }
 _PD_BIN = {
-    Op.ADDPD: "double_add", Op.SUBPD: "double_sub",
-    Op.MULPD: "double_mul", Op.DIVPD: "double_div",
+    Op.ADDPD: None, Op.SUBPD: None, Op.MULPD: None, Op.DIVPD: "double_div",
 }
 _PS_BIN = {
-    Op.ADDPS: "single_add", Op.SUBPS: "single_sub",
-    Op.MULPS: "single_mul", Op.DIVPS: "single_div",
+    Op.ADDPS: None, Op.SUBPS: None, Op.MULPS: None, Op.DIVPS: "single_div",
 }
+#: ``{d}`` the destination, ``{s}`` the source, ``{c}`` the shift count
+#: (``({s} & 63)``, or its value when the source is an immediate).
 _INT_BIN_EXPR = {
     Op.ADD: "({d} + {s}) & _M64",
     Op.SUB: "({d} - {s}) & _M64",
@@ -173,37 +186,40 @@ _INT_BIN_EXPR = {
     Op.AND: "{d} & {s}",
     Op.OR: "{d} | {s}",
     Op.XOR: "{d} ^ {s}",
-    Op.SHL: "({d} << ({s} & 63)) & _M64",
-    Op.SHR: "{d} >> ({s} & 63)",
-    Op.SAR: "(_s64({d}) >> ({s} & 63)) & _M64",
+    Op.SHL: "({d} << {c}) & _M64",
+    Op.SHR: "{d} >> {c}",
+    Op.SAR: "((({d} ^ _SB) - _SB) >> {c}) & _M64",
 }
+_SHIFTS = frozenset((Op.SHL, Op.SHR, Op.SAR))
+#: branch conditions over the (zf, lt, unord) flag expressions.
 _COND_EXPR = {
-    Op.JE: "flags[0]",
-    Op.JNE: "not flags[0]",
-    Op.JL: "flags[1]",
-    Op.JLE: "flags[1] or flags[0]",
-    Op.JG: "not (flags[1] or flags[0] or flags[2])",
-    Op.JGE: "not flags[1] and not flags[2]",
-    Op.JP: "flags[2]",
-    Op.JNP: "not flags[2]",
+    Op.JE: "{z}",
+    Op.JNE: "not {z}",
+    Op.JL: "{l}",
+    Op.JLE: "{l} or {z}",
+    Op.JG: "not ({l} or {z} or {u})",
+    Op.JGE: "not {l} and not {u}",
+    Op.JP: "{u}",
+    Op.JNP: "not {u}",
 }
+_LIST_FLAGS = ("flags[0]", "flags[1]", "flags[2]")
+
+#: state lists a run caches in locals, and the prefix of their locals.
+_LOCAL_PREFIX = {"gpr": "r", "xl": "x", "xh": "h"}
 
 #: placeholder for the run length, substituted once the run is closed.
 _K = "__K__"
 
 
-def _addr_expr(m: Mem) -> str:
-    parts = []
-    if m.base is not None:
-        parts.append(f"gpr[{m.base}]")
-    if m.index is not None:
-        if m.scale != 1:
-            parts.append(f"gpr[{m.index}] * {m.scale}")
-        else:
-            parts.append(f"gpr[{m.index}]")
-    if m.disp or not parts:
-        parts.append(str(m.disp))
-    return " + ".join(parts)
+def scratch_views() -> tuple:
+    """One VM's conversion scratch: an 8-byte buffer viewed as ``Q`` and
+    ``d`` and a 4-byte one viewed as ``I`` and ``f`` (``bq, bd, bi,
+    bf``).  A run reinterprets bits by storing through one view and
+    loading through the other.  The views are per VM, never shared:
+    VMs on different threads must not see each other's scratch."""
+    b8 = memoryview(bytearray(8))
+    b4 = memoryview(bytearray(4))
+    return b8.cast("Q"), b8.cast("d"), b4.cast("I"), b4.cast("f")
 
 
 class _RunEmitter:
@@ -213,6 +229,17 @@ class _RunEmitter:
     fault site charges the constant partial cycle sum of the completed
     instructions and returns the unexecuted suffix to the steps-left
     cell before raising.
+
+    Registers (``gpr``, ``xl``, ``xh``) live in locals: each is read
+    from its list at most once per run, and a write only marks its local
+    *dirty*.  Dirty locals are stored back at the points where state can
+    be observed — before every guard's condition and before every exit —
+    so a fault path is one ``raise`` that finds the lists exact.  The
+    store of a value that reaches such a point joins the statement that
+    defined it (``gpr[1] = r1 = ...``), and a value overwritten before
+    it is never stored.  CMP, TEST and the UCOMIs set the flag locals
+    ``zf``, ``lf`` and ``uf`` the same way; a closing branch tests the
+    locals.
     """
 
     def __init__(self, size: int) -> None:
@@ -221,11 +248,61 @@ class _RunEmitter:
         self.j = 0
         self.cycles = 0  # partial sum: cost of instructions < j
         self.halted = False  # a HALT was emitted; run falls through no more
+        self.cached: set = set()  # (list, index) held in a local
+        #: state cell not yet stored -> (its value, the line defining that
+        #: value as ``local = expr``, or None), in order
+        self.dirty: dict = {}
+        #: (zf, lt, unord) expressions once a flag setter ran in the run
+        self.flags: tuple | None = None
 
     # -- plumbing ---------------------------------------------------------
 
     def emit(self, *lines: str) -> None:
         self.lines.extend(lines)
+
+    def reg(self, arr: str, i: int) -> str:
+        """The local holding ``arr[i]``, loaded on first use.  Call it
+        outside conditional blocks only: the load must dominate every
+        later use."""
+        name = f"{_LOCAL_PREFIX[arr]}{i}"
+        if (arr, i) not in self.cached:
+            self.emit(f"{name} = {arr}[{i}]")
+            self.cached.add((arr, i))
+        return name
+
+    def define(self, cell: str, local: str, expr: str) -> None:
+        """Emit ``local = expr`` as the new value of state *cell*."""
+        self.dirty[cell] = (local, len(self.lines))
+        self.emit(f"{local} = {expr}")
+
+    def dest(self, arr: str, i: int) -> str:
+        """The local a write to ``arr[i]`` assigns; marks it dirty.  The
+        caller emits the assignment (on every branch) right away."""
+        name = f"{_LOCAL_PREFIX[arr]}{i}"
+        self.cached.add((arr, i))
+        self.dirty[f"{arr}[{i}]"] = (name, None)
+        return name
+
+    def set(self, arr: str, i: int, expr: str) -> None:
+        self.define(f"{arr}[{i}]", self.dest(arr, i), expr)
+
+    def set_flags(self, zf: str, lf: str) -> None:
+        """Flags of CMP or TEST: zero and less-than; never unordered."""
+        self.define("flags[0]", "zf", zf)
+        self.define("flags[1]", "lf", lf)
+        self.dirty["flags[2]"] = ("0", None)
+        self.flags = ("zf", "lf", "0")
+
+    def flush(self) -> None:
+        """Store every dirty cell: on its defining line when there is
+        one, else as a statement here."""
+        lines = self.lines
+        for cell, (value, at) in self.dirty.items():
+            if at is None:
+                lines.append(f"{cell} = {value}")
+            else:
+                lines[at] = f"{cell} = {lines[at]}"
+        self.dirty.clear()
 
     def fault_lines(self, raise_stmt: str, extra_cycles: int = 0) -> list[str]:
         out = []
@@ -237,6 +314,7 @@ class _RunEmitter:
         return out
 
     def guard(self, cond: str, raise_stmt: str) -> None:
+        self.flush()
         self.emit(f"if {cond}:")
         self.emit(*("    " + ln for ln in self.fault_lines(raise_stmt)))
 
@@ -245,50 +323,146 @@ class _RunEmitter:
 
     # -- operand fragments ------------------------------------------------
 
-    def read64(self, m: Mem, var: str) -> None:
+    def addr(self, m: Mem) -> str:
+        parts = []
+        if m.base is not None:
+            parts.append(self.reg("gpr", m.base))
+        if m.index is not None:
+            index = self.reg("gpr", m.index)
+            parts.append(f"{index} * {m.scale}" if m.scale != 1 else index)
+        if m.disp or not parts:
+            parts.append(str(m.disp))
+        return " + ".join(parts)
+
+    def read64(self, m: Mem) -> str:
+        """Emit a checked read; returns the expression of the cell."""
         a = f"a{self.j}"
-        self.emit(f"{a} = {_addr_expr(m)}")
+        self.emit(f"{a} = {self.addr(m)}")
         self.guard(
             f"not (0 <= {a} < top)",
             self.ft(f'f"memory read out of bounds: {{{a}}}"'),
         )
-        self.emit(f"{var} = mem[{a}]")
+        return f"mem[{a}]"
+
+    def write_addr(self, m: Mem, packed: bool = False) -> str:
+        """Emit a checked write address; returns its local."""
+        w = f"w{self.j}"
+        self.emit(f"{w} = {self.addr(m)}")
+        if packed:
+            self.guard(
+                f"not (0 <= {w} and {w} + 1 < top)",
+                self.ft(f'f"packed memory write out of bounds: {{{w}}}"'),
+            )
+        else:
+            self.guard(
+                f"not (0 <= {w} < top)",
+                self.ft(f'f"memory write out of bounds: {{{w}}}"'),
+            )
+        return w
 
     def src64(self, operand) -> str:
         """Expression for a 64-bit source; Mem emits a checked read."""
         if isinstance(operand, Reg):
-            return f"gpr[{operand.index}]"
+            return self.reg("gpr", operand.index)
         if isinstance(operand, Imm):
             return str(operand.value & _M64)
         if isinstance(operand, Mem):
             var = f"v{self.j}"
-            self.read64(operand, var)
+            self.emit(f"{var} = {self.read64(operand)}")
             return var
         raise Unfusable
 
     def xsrc64(self, operand) -> str:
         if isinstance(operand, Xmm):
-            return f"xl[{operand.index}]"
+            return self.reg("xl", operand.index)
         if isinstance(operand, Mem):
             var = f"v{self.j}"
-            self.read64(operand, var)
+            self.emit(f"{var} = {self.read64(operand)}")
             return var
         raise Unfusable
 
     def xsrc128(self, operand) -> tuple[str, str]:
-        """(lo, hi) expressions; Mem emits a checked 2-cell read."""
+        """(lo, hi) captured in locals; Mem emits a checked 2-cell read."""
+        j = self.j
         if isinstance(operand, Xmm):
             i = operand.index
-            return f"xl[{i}]", f"xh[{i}]"
-        if isinstance(operand, Mem):
-            a = f"a{self.j}"
-            self.emit(f"{a} = {_addr_expr(operand)}")
+            lo, hi = self.reg("xl", i), self.reg("xh", i)
+        elif isinstance(operand, Mem):
+            a = f"a{j}"
+            self.emit(f"{a} = {self.addr(operand)}")
             self.guard(
                 f"not (0 <= {a} and {a} + 1 < top)",
                 self.ft(f'f"packed memory read out of bounds: {{{a}}}"'),
             )
-            return f"mem[{a}]", f"mem[{a} + 1]"
-        raise Unfusable
+            lo, hi = f"mem[{a}]", f"mem[{a} + 1]"
+        else:
+            raise Unfusable
+        self.emit(f"lo{j} = {lo}", f"hi{j} = {hi}")
+        return f"lo{j}", f"hi{j}"
+
+    # -- inline IEEE conversions ------------------------------------------
+
+    def float_op(self, sym: str, tag: str) -> str:
+        """Emit ``fa{tag} sym fb{tag}`` into the float local it returns.
+        A NaN sum or product takes its payload from
+        ``ieee.commutative_nan``, as the helpers do."""
+        fa, fb, fr = f"fa{tag}", f"fb{tag}", f"fr{tag}"
+        self.emit(f"{fr} = {fa} {sym} {fb}")
+        if sym != "-":
+            self.emit(f"if {fr} != {fr}:",
+                      f"    {fr} = commutative_nan({fa}, {fb}, {fr})")
+        return fr
+
+    def double_op(self, a: str, b: str, sym: str) -> str:
+        """Emit binary64 ``a sym b`` on bit patterns; returns the result
+        bits expression (valid until the scratch is next written)."""
+        j = self.j
+        self.emit(f"bq[0] = {a}", f"fa{j} = bd[0]", f"bq[0] = {b}", f"fb{j} = bd[0]")
+        self.emit(f"bd[0] = {self.float_op(sym, str(j))}")
+        return "bq[0]"
+
+    def single_bits(self, value: str) -> str:
+        """Emit the rounding of float *value* (a local) to binary32;
+        returns the bits expression.  Overflow gives a signed infinity,
+        as ``ieee.single_to_bits`` does where the view refuses."""
+        self.emit("try:",
+                  f"    bf[0] = {value}",
+                  "except OverflowError:",
+                  f"    bi[0] = {_NEG_INF32} if {value} < 0.0 else {_POS_INF32}")
+        return "bi[0]"
+
+    def single_op(self, a: str, b: str, sym: str, tag: str = "") -> str:
+        """Emit binary32 ``a sym b`` on 32-bit patterns; returns the
+        result bits expression."""
+        tag = f"{self.j}{tag}"
+        self.emit(f"bi[0] = {a}", f"fa{tag} = bf[0]", f"bi[0] = {b}", f"fb{tag} = bf[0]")
+        return self.single_bits(self.float_op(sym, tag))
+
+    def signed(self, v: str) -> str:
+        return f"(({v} ^ _SB) - _SB)"
+
+    def ucomi_flags(self) -> None:
+        """Flags of an unordered compare of the floats ``fa{j}``/``fb{j}``."""
+        j = self.j
+        self.emit(f"if fa{j} != fa{j} or fb{j} != fb{j}:",
+                  "    zf = 1",
+                  "    lf = 0",
+                  "    uf = 1",
+                  "else:",
+                  f"    zf = 1 if fa{j} == fb{j} else 0",
+                  f"    lf = 1 if fa{j} < fb{j} else 0",
+                  "    uf = 0")
+        self.flags = ("zf", "lf", "uf")
+        for k, name in enumerate(self.flags):
+            self.dirty[f"flags[{k}]"] = (name, None)
+
+    def truncate(self, d: int, f: str) -> None:
+        """CVTT*2SI of float local *f* into ``gpr[d]``."""
+        r = self.dest("gpr", d)
+        self.emit(f"if {f} != {f} or {f} >= 9.223372036854776e18 or {f} < -9.223372036854776e18:",
+                  f"    {r} = _INT_INDEFINITE",
+                  "else:",
+                  f"    {r} = int({f}) & _M64")
 
     # -- one instruction --------------------------------------------------
 
@@ -305,6 +479,8 @@ class _RunEmitter:
         ops = instr.operands
         j = self.j
         e = self.emit
+        reg = self.reg
+        put = self.set
 
         if op is Op.NOP:
             pass
@@ -313,59 +489,57 @@ class _RunEmitter:
             # Charges its own cost, then stops the machine: the fault
             # preamble with the HALT's cost included is exactly the
             # reference accounting.
-            self.emit(*self.fault_lines("raise halt", extra_cycles=cost))
+            self.flush()
+            e(*self.fault_lines("raise halt", extra_cycles=cost))
             self.halted = True
 
         elif op is Op.OUTI:
-            e(f'outputs.append(("i", gpr[{ops[0].index}]))')
+            e(f'outputs.append(("i", {reg("gpr", ops[0].index)}))')
         elif op is Op.OUTSD:
-            e(f'outputs.append(("d", xl[{ops[0].index}]))')
+            e(f'outputs.append(("d", {reg("xl", ops[0].index)}))')
         elif op is Op.OUTSS:
-            e(f'outputs.append(("s", xl[{ops[0].index}] & _M32))')
+            e(f'outputs.append(("s", {reg("xl", ops[0].index)} & _M32))')
 
         elif op is Op.RAND:
-            r = ops[0].index
             e(f"s{j} = rng[0]",
               f"s{j} ^= s{j} >> 12",
               f"s{j} = (s{j} ^ (s{j} << 25)) & _M64",
               f"s{j} ^= s{j} >> 27",
-              f"rng[0] = s{j}",
-              f"gpr[{r}] = (s{j} * _XORSHIFT_MULT) & _M64")
+              f"rng[0] = s{j}")
+            put("gpr", ops[0].index, f"(s{j} * _XORSHIFT_MULT) & _M64")
 
         elif op is Op.MOV:
             dst, src = ops
             if isinstance(dst, Reg):
-                d = dst.index
-                if isinstance(src, Reg):
-                    e(f"gpr[{d}] = gpr[{src.index}]")
-                elif isinstance(src, Imm):
-                    e(f"gpr[{d}] = {src.value & _M64}")
+                if isinstance(src, (Reg, Imm)):
+                    put("gpr", dst.index, self.src64(src))
                 elif isinstance(src, Mem):
-                    self.read64(src, f"gpr[{d}]")
+                    put("gpr", dst.index, self.read64(src))
                 else:
                     raise Unfusable
             elif isinstance(dst, Mem):
                 # Reference order: source evaluated first (its read may
                 # trap), then the destination bounds check.
                 sv = self.src64(src)
-                a = f"w{j}"
-                e(f"{a} = {_addr_expr(dst)}")
-                self.guard(
-                    f"not (0 <= {a} < top)",
-                    self.ft(f'f"memory write out of bounds: {{{a}}}"'),
-                )
-                e(f"mem[{a}] = {sv}")
+                e(f"mem[{self.write_addr(dst)}] = {sv}")
             else:
                 raise Unfusable
 
         elif op is Op.LEA:
-            e(f"gpr[{ops[0].index}] = ({_addr_expr(ops[1])}) & _M64")
+            put("gpr", ops[0].index, f"({self.addr(ops[1])}) & _M64")
 
         elif op in _INT_BIN_EXPR:
             d = ops[0].index
-            sv = self.src64(ops[1])
-            expr = _INT_BIN_EXPR[op].format(d=f"gpr[{d}]", s=sv)
-            e(f"gpr[{d}] = {expr}")
+            src = ops[1]
+            sv = self.src64(src)
+            if op not in _SHIFTS:
+                count = ""
+            elif isinstance(src, Imm):
+                count = str(src.value & 63)
+            else:
+                count = f"({sv} & 63)"
+            expr = _INT_BIN_EXPR[op].format(d=reg("gpr", d), s=sv, c=count)
+            put("gpr", d, expr)
 
         elif op is Op.IDIV or op is Op.IREM:
             d = ops[0].index
@@ -377,96 +551,94 @@ class _RunEmitter:
                 f"b{j} == 0",
                 'raise VmTrap("integer division by zero")',
             )
-            e(f"sa{j} = _s64(gpr[{d}])",
-              f"sb{j} = _s64(b{j})")
+            e(f"sa{j} = {self.signed(reg('gpr', d))}",
+              f"sb{j} = {self.signed(f'b{j}')}")
             if op is Op.IDIV:
                 e(f"q{j} = abs(sa{j}) // abs(sb{j})",
                   f"if (sa{j} < 0) != (sb{j} < 0):",
-                  f"    q{j} = -q{j}",
-                  f"gpr[{d}] = q{j} & _M64")
+                  f"    q{j} = -q{j}")
             else:
                 e(f"q{j} = abs(sa{j}) % abs(sb{j})",
                   f"if sa{j} < 0:",
-                  f"    q{j} = -q{j}",
-                  f"gpr[{d}] = q{j} & _M64")
+                  f"    q{j} = -q{j}")
+            put("gpr", d, f"q{j} & _M64")
 
         elif op is Op.NOT:
-            e(f"gpr[{ops[0].index}] ^= _M64")
+            d = ops[0].index
+            put("gpr", d, f"{reg('gpr', d)} ^ _M64")
         elif op is Op.NEG:
             d = ops[0].index
-            e(f"gpr[{d}] = (-gpr[{d}]) & _M64")
+            put("gpr", d, f"(-{reg('gpr', d)}) & _M64")
         elif op is Op.INC:
             d = ops[0].index
-            e(f"gpr[{d}] = (gpr[{d}] + 1) & _M64")
+            put("gpr", d, f"({reg('gpr', d)} + 1) & _M64")
         elif op is Op.DEC:
             d = ops[0].index
-            e(f"gpr[{d}] = (gpr[{d}] - 1) & _M64")
+            put("gpr", d, f"({reg('gpr', d)} - 1) & _M64")
 
         elif op is Op.CMP:
-            d = ops[0].index
-            sv = self.src64(ops[1])
-            e(f"ca{j} = gpr[{d}]",
-              f"cb{j} = {sv}",
-              f"flags[0] = 1 if ca{j} == cb{j} else 0",
-              f"flags[1] = 1 if _s64(ca{j}) < _s64(cb{j}) else 0",
-              "flags[2] = 0")
+            # Signed a < b is unsigned (a ^ _SB) < (b ^ _SB).  Against an
+            # immediate b it folds to a range test on literals: a below
+            # b, or a negative, when b >= 0; a negative and below b
+            # otherwise.
+            a = reg("gpr", ops[0].index)
+            src = ops[1]
+            b = self.src64(src)
+            if not isinstance(src, Imm):
+                lt = f"({a} ^ _SB) < ({b} ^ _SB)"
+            elif int(b) < _SB:
+                lt = f"{a} < {b} or {a} > {_SB - 1}"
+            else:
+                lt = f"{_SB - 1} < {a} < {b}"
+            self.set_flags(f"1 if {a} == {b} else 0", f"1 if {lt} else 0")
 
         elif op is Op.TEST:
-            d = ops[0].index
             sv = self.src64(ops[1])
-            e(f"v{j}t = gpr[{d}] & {sv}",
-              f"flags[0] = 1 if v{j}t == 0 else 0",
-              f"flags[1] = (v{j}t >> 63) & 1",
-              "flags[2] = 0")
+            e(f"t{j} = {reg('gpr', ops[0].index)} & {sv}")
+            self.set_flags(f"1 if t{j} == 0 else 0", f"t{j} >> 63")
 
         elif op is Op.PUSH:
-            e(f"sp{j} = gpr[15] - 1")
+            e(f"sp{j} = {reg('gpr', 15)} - 1")
             self.guard(f"sp{j} < limit", self.ft('"stack overflow"'))
-            sv = self.src64(ops[0])
-            e(f"mem[sp{j}] = {sv}",
-              f"gpr[15] = sp{j}")
+            e(f"mem[sp{j}] = {self.src64(ops[0])}")
+            put("gpr", 15, f"sp{j}")
 
         elif op is Op.POP:
-            e(f"sp{j} = gpr[15]")
+            e(f"sp{j} = {reg('gpr', 15)}")
             self.guard(f"sp{j} >= top", self.ft('"stack underflow"'))
-            e(f"gpr[{ops[0].index}] = mem[sp{j}]",
-              f"gpr[15] = sp{j} + 1")
+            put("gpr", ops[0].index, f"mem[sp{j}]")
+            put("gpr", 15, f"sp{j} + 1")
 
         elif op is Op.PUSHX:
             x = ops[0].index
-            e(f"sp{j} = gpr[15] - 2")
+            e(f"sp{j} = {reg('gpr', 15)} - 2")
             self.guard(f"sp{j} < limit", self.ft('"stack overflow"'))
-            e(f"mem[sp{j}] = xl[{x}]",
-              f"mem[sp{j} + 1] = xh[{x}]",
-              f"gpr[15] = sp{j}")
+            e(f"mem[sp{j}] = {reg('xl', x)}",
+              f"mem[sp{j} + 1] = {reg('xh', x)}")
+            put("gpr", 15, f"sp{j}")
 
         elif op is Op.POPX:
             x = ops[0].index
-            e(f"sp{j} = gpr[15]")
+            e(f"sp{j} = {reg('gpr', 15)}")
             self.guard(f"sp{j} + 1 >= top", self.ft('"stack underflow"'))
-            e(f"xl[{x}] = mem[sp{j}]",
-              f"xh[{x}] = mem[sp{j} + 1]",
-              f"gpr[15] = sp{j} + 2")
+            put("xl", x, f"mem[sp{j}]")
+            put("xh", x, f"mem[sp{j} + 1]")
+            put("gpr", 15, f"sp{j} + 2")
 
         elif op is Op.MOVSD:
             dst, src = ops
             if isinstance(dst, Xmm):
                 d = dst.index
                 if isinstance(src, Xmm):
-                    e(f"xl[{d}] = xl[{src.index}]")
+                    put("xl", d, reg("xl", src.index))
                 elif isinstance(src, Mem):
-                    self.read64(src, f"xl[{d}]")
-                    e(f"xh[{d}] = 0")
+                    put("xl", d, self.read64(src))
+                    put("xh", d, "0")
                 else:
                     raise Unfusable
             elif isinstance(dst, Mem) and isinstance(src, Xmm):
-                a = f"w{j}"
-                e(f"{a} = {_addr_expr(dst)}")
-                self.guard(
-                    f"not (0 <= {a} < top)",
-                    self.ft(f'f"memory write out of bounds: {{{a}}}"'),
-                )
-                e(f"mem[{a}] = xl[{src.index}]")
+                w = self.write_addr(dst)
+                e(f"mem[{w}] = {reg('xl', src.index)}")
             else:
                 raise Unfusable
 
@@ -474,206 +646,195 @@ class _RunEmitter:
             dst, src = ops
             if isinstance(dst, Xmm):
                 lo, hi = self.xsrc128(src)
-                d = dst.index
-                e(f"xl[{d}] = {lo}",
-                  f"xh[{d}] = {hi}")
+                put("xl", dst.index, lo)
+                put("xh", dst.index, hi)
             elif isinstance(dst, Mem) and isinstance(src, Xmm):
-                a = f"w{j}"
                 s = src.index
-                e(f"{a} = {_addr_expr(dst)}")
-                self.guard(
-                    f"not (0 <= {a} and {a} + 1 < top)",
-                    self.ft(f'f"packed memory write out of bounds: {{{a}}}"'),
-                )
-                e(f"mem[{a}] = xl[{s}]",
-                  f"mem[{a} + 1] = xh[{s}]")
+                lo, hi = reg("xl", s), reg("xh", s)
+                w = self.write_addr(dst, packed=True)
+                e(f"mem[{w}] = {lo}",
+                  f"mem[{w} + 1] = {hi}")
             else:
                 raise Unfusable
 
         elif op in _FPD_BIN:
-            fn = _FPD_BIN[op]
             d = ops[0].index
             sv = self.xsrc64(ops[1])
-            e(f"xl[{d}] = {fn}(xl[{d}], {sv})")
+            a = reg("xl", d)
+            fn = _FPD_BIN[op]
+            if fn is None:
+                put("xl", d, self.double_op(a, sv, _FP_ARITH[op]))
+            else:
+                put("xl", d, f"{fn}({a}, {sv})")
 
         elif op in _FPD_UN:
-            fn = _FPD_UN[op]
-            d = ops[0].index
             sv = self.xsrc64(ops[1])
-            e(f"xl[{d}] = {fn}({sv})")
+            put("xl", ops[0].index, f"{_FPD_UN[op]}({sv})")
 
         elif op is Op.UCOMISD or op is Op.UCOMISS:
-            d = ops[0].index
             sv = self.xsrc64(ops[1])
+            a = reg("xl", ops[0].index)
             if op is Op.UCOMISD:
-                e(f"fa{j} = bits_to_double(xl[{d}])",
-                  f"fb{j} = bits_to_double({sv})")
+                e(f"bq[0] = {a}", f"fa{j} = bd[0]",
+                  f"bq[0] = {sv}", f"fb{j} = bd[0]")
             else:
-                e(f"fa{j} = bits_to_single(xl[{d}] & _M32)",
-                  f"fb{j} = bits_to_single(({sv}) & _M32)")
-            e(f"if fa{j} != fa{j} or fb{j} != fb{j}:",
-              "    flags[0] = 1",
-              "    flags[1] = 0",
-              "    flags[2] = 1",
-              "else:",
-              f"    flags[0] = 1 if fa{j} == fb{j} else 0",
-              f"    flags[1] = 1 if fa{j} < fb{j} else 0",
-              "    flags[2] = 0")
+                e(f"bi[0] = {a} & _M32", f"fa{j} = bf[0]",
+                  f"bi[0] = {sv} & _M32", f"fb{j} = bf[0]")
+            self.ucomi_flags()
 
         elif op is Op.CVTSI2SD:
-            e(f"xl[{ops[0].index}] = double_to_bits(float(_s64(gpr[{ops[1].index}])))")
+            e(f"bd[0] = float({self.signed(reg('gpr', ops[1].index))})")
+            put("xl", ops[0].index, "bq[0]")
 
         elif op is Op.CVTTSD2SI or op is Op.CVTTSS2SI:
-            d, s = ops[0].index, ops[1].index
+            xs = reg("xl", ops[1].index)
             if op is Op.CVTTSD2SI:
-                e(f"f{j} = bits_to_double(xl[{s}])")
+                e(f"bq[0] = {xs}")
+                e(f"f{j} = bd[0]")
             else:
-                e(f"f{j} = bits_to_single(xl[{s}] & _M32)")
-            e(f"if f{j} != f{j} or f{j} >= 9.223372036854776e18 or f{j} < -9.223372036854776e18:",
-              f"    gpr[{d}] = _INT_INDEFINITE",
-              "else:",
-              f"    gpr[{d}] = int(f{j}) & _M64")
+                e(f"bi[0] = {xs} & _M32")
+                e(f"f{j} = bf[0]")
+            self.truncate(ops[0].index, f"f{j}")
 
         elif op is Op.CVTSD2SS:
-            d, s = ops[0].index, ops[1].index
-            e(f"xl[{d}] = (xl[{d}] & _HI32) | single_to_bits(bits_to_double(xl[{s}]))")
+            d = ops[0].index
+            xs = reg("xl", ops[1].index)
+            xd = reg("xl", d)
+            e(f"bq[0] = {xs}", f"fr{j} = bd[0]")
+            put("xl", d, f"({xd} & _HI32) | {self.single_bits(f'fr{j}')}")
 
         elif op is Op.CVTSS2SD:
-            d, s = ops[0].index, ops[1].index
-            e(f"xl[{d}] = double_to_bits(bits_to_single(xl[{s}] & _M32))")
+            e(f"bi[0] = {reg('xl', ops[1].index)} & _M32", "bd[0] = bf[0]")
+            put("xl", ops[0].index, "bq[0]")
 
         elif op in _FPN_BIN:
-            fn = _FPN_BIN[op]
             d = ops[0].index
             sv = self.xsrc64(ops[1])
-            e(f"v{j}n = xl[{d}]",
-              f"xl[{d}] = (v{j}n & _HI32) | {fn}(v{j}n & 0xFFFF, ({sv}) & 0xFFFF)")
+            a = reg("xl", d)
+            put("xl", d, f"({a} & _HI32) | {_FPN_BIN[op]}({a} & 0xFFFF, ({sv}) & 0xFFFF)")
 
         elif op in _FPN_UN:
-            fn = _FPN_UN[op]
             d = ops[0].index
             sv = self.xsrc64(ops[1])
-            e(f"xl[{d}] = (xl[{d}] & _HI32) | {fn}(({sv}) & 0xFFFF)")
+            put("xl", d, f"({reg('xl', d)} & _HI32) | {_FPN_UN[op]}(({sv}) & 0xFFFF)")
 
         elif op is Op.UCOMIBF or op is Op.UCOMIHF:
             dec = _FPN_CODEC_OPS[op][0]
-            d = ops[0].index
             sv = self.xsrc64(ops[1])
-            e(f"fa{j} = {dec}(xl[{d}] & 0xFFFF)",
-              f"fb{j} = {dec}(({sv}) & 0xFFFF)",
-              f"if fa{j} != fa{j} or fb{j} != fb{j}:",
-              "    flags[0] = 1",
-              "    flags[1] = 0",
-              "    flags[2] = 1",
-              "else:",
-              f"    flags[0] = 1 if fa{j} == fb{j} else 0",
-              f"    flags[1] = 1 if fa{j} < fb{j} else 0",
-              "    flags[2] = 0")
+            e(f"fa{j} = {dec}({reg('xl', ops[0].index)} & 0xFFFF)",
+              f"fb{j} = {dec}(({sv}) & 0xFFFF)")
+            self.ucomi_flags()
 
         elif op is Op.CVTSI2BF or op is Op.CVTSI2HF:
             enc = _FPN_CODEC_OPS[op][1]
-            d, s = ops[0].index, ops[1].index
-            e(f"xl[{d}] = (xl[{d}] & _HI32) | {enc}(float(_s64(gpr[{s}])))")
+            d = ops[0].index
+            v = self.signed(reg("gpr", ops[1].index))
+            put("xl", d, f"({reg('xl', d)} & _HI32) | {enc}(float({v}))")
 
         elif op is Op.CVTTBF2SI or op is Op.CVTTHF2SI:
             dec = _FPN_CODEC_OPS[op][0]
-            d, s = ops[0].index, ops[1].index
-            e(f"f{j} = {dec}(xl[{s}] & 0xFFFF)",
-              f"if f{j} != f{j} or f{j} >= 9.223372036854776e18 or f{j} < -9.223372036854776e18:",
-              f"    gpr[{d}] = _INT_INDEFINITE",
-              "else:",
-              f"    gpr[{d}] = int(f{j}) & _M64")
+            e(f"f{j} = {dec}({reg('xl', ops[1].index)} & 0xFFFF)")
+            self.truncate(ops[0].index, f"f{j}")
 
         elif op is Op.CVTSD2BF or op is Op.CVTSD2HF:
             enc = _FPN_CODEC_OPS[op][1]
-            d, s = ops[0].index, ops[1].index
-            e(f"xl[{d}] = (xl[{d}] & _HI32) | {enc}(bits_to_double(xl[{s}]))")
+            d = ops[0].index
+            e(f"bq[0] = {reg('xl', ops[1].index)}")
+            put("xl", d, f"({reg('xl', d)} & _HI32) | {enc}(bd[0])")
 
         elif op is Op.CVTBF2SD or op is Op.CVTHF2SD:
             dec = _FPN_CODEC_OPS[op][0]
-            d, s = ops[0].index, ops[1].index
-            e(f"xl[{d}] = double_to_bits({dec}(xl[{s}] & 0xFFFF))")
+            e(f"bd[0] = {dec}({reg('xl', ops[1].index)} & 0xFFFF)")
+            put("xl", ops[0].index, "bq[0]")
 
         elif op is Op.MOVQXR:
-            e(f"xl[{ops[0].index}] = gpr[{ops[1].index}]")
+            put("xl", ops[0].index, reg("gpr", ops[1].index))
         elif op is Op.MOVQRX:
-            e(f"gpr[{ops[0].index}] = xl[{ops[1].index}]")
+            put("gpr", ops[0].index, reg("xl", ops[1].index))
 
         elif op in _PD_BIN:
-            fn = _PD_BIN[op]
             d = ops[0].index
             lo, hi = self.xsrc128(ops[1])
-            e(f"lo{j} = {lo}",
-              f"hi{j} = {hi}",
-              f"xl[{d}] = {fn}(xl[{d}], lo{j})",
-              f"xh[{d}] = {fn}(xh[{d}], hi{j})")
+            a, b = reg("xl", d), reg("xh", d)
+            fn = _PD_BIN[op]
+            if fn is None:
+                sym = _FP_ARITH[op]
+                put("xl", d, self.double_op(a, lo, sym))
+                put("xh", d, self.double_op(b, hi, sym))
+            else:
+                put("xl", d, f"{fn}({a}, {lo})")
+                put("xh", d, f"{fn}({b}, {hi})")
 
         elif op is Op.SQRTPD:
             d = ops[0].index
             lo, hi = self.xsrc128(ops[1])
-            e(f"lo{j} = {lo}",
-              f"hi{j} = {hi}",
-              f"xl[{d}] = double_sqrt(lo{j})",
-              f"xh[{d}] = double_sqrt(hi{j})")
+            put("xl", d, f"double_sqrt({lo})")
+            put("xh", d, f"double_sqrt({hi})")
 
         elif op is Op.MOVSS:
             dst, src = ops
             if isinstance(dst, Xmm):
                 d = dst.index
                 if isinstance(src, Xmm):
-                    e(f"xl[{d}] = (xl[{d}] & _HI32) | (xl[{src.index}] & _M32)")
+                    put("xl", d, f"({reg('xl', d)} & _HI32) | ({reg('xl', src.index)} & _M32)")
                 elif isinstance(src, Mem):
-                    self.read64(src, f"v{j}")
-                    e(f"xl[{d}] = v{j} & _M32",
-                      f"xh[{d}] = 0")
+                    put("xl", d, f"{self.read64(src)} & _M32")
+                    put("xh", d, "0")
                 else:
                     raise Unfusable
             elif isinstance(dst, Mem) and isinstance(src, Xmm):
-                a = f"w{j}"
-                e(f"{a} = {_addr_expr(dst)}")
-                self.guard(
-                    f"not 0 <= {a} < top",
-                    self.ft(f'f"memory write out of bounds: {{{a}}}"'),
-                )
-                e(f"mem[{a}] = (mem[{a}] & _HI32) | (xl[{src.index}] & _M32)")
+                xs = reg("xl", src.index)
+                w = self.write_addr(dst)
+                e(f"mem[{w}] = (mem[{w}] & _HI32) | ({xs} & _M32)")
             else:
                 raise Unfusable
 
         elif op in _FPS_BIN:
-            fn = _FPS_BIN[op]
             d = ops[0].index
             sv = self.xsrc64(ops[1])
-            e(f"v{j}d = xl[{d}]",
-              f"xl[{d}] = (v{j}d & _HI32) | {fn}(v{j}d & _M32, ({sv}) & _M32)")
+            a = reg("xl", d)
+            fn = _FPS_BIN[op]
+            if fn is None:
+                r = self.single_op(f"{a} & _M32", f"{sv} & _M32", _FP_ARITH[op])
+            else:
+                r = f"{fn}({a} & _M32, ({sv}) & _M32)"
+            put("xl", d, f"({a} & _HI32) | {r}")
 
         elif op in _FPS_UN:
-            fn = _FPS_UN[op]
             d = ops[0].index
             sv = self.xsrc64(ops[1])
-            e(f"xl[{d}] = (xl[{d}] & _HI32) | {fn}(({sv}) & _M32)")
+            put("xl", d, f"({reg('xl', d)} & _HI32) | {_FPS_UN[op]}(({sv}) & _M32)")
 
         elif op is Op.CVTSI2SS:
-            d, s = ops[0].index, ops[1].index
-            e(f"xl[{d}] = (xl[{d}] & _HI32) | single_to_bits(float(_s64(gpr[{s}])))")
+            # |int64| < FLT_MAX: the rounding to binary32 cannot overflow.
+            d = ops[0].index
+            e(f"bf[0] = float({self.signed(reg('gpr', ops[1].index))})")
+            put("xl", d, f"({reg('xl', d)} & _HI32) | bi[0]")
 
         elif op in _PS_BIN:
-            fn = _PS_BIN[op]
             d = ops[0].index
             lo, hi = self.xsrc128(ops[1])
-            e(f"lo{j} = {lo}",
-              f"hi{j} = {hi}",
-              f"pa{j} = xl[{d}]",
-              f"xl[{d}] = ({fn}((pa{j} >> 32) & _M32, (lo{j} >> 32) & _M32) << 32) | {fn}(pa{j} & _M32, lo{j} & _M32)",
-              f"pb{j} = xh[{d}]",
-              f"xh[{d}] = ({fn}((pb{j} >> 32) & _M32, (hi{j} >> 32) & _M32) << 32) | {fn}(pb{j} & _M32, hi{j} & _M32)")
+            fn = _PS_BIN[op]
+            for arr, src in (("xl", lo), ("xh", hi)):
+                a = reg(arr, d)
+                lanes = []
+                for shift in (32, 0):
+                    la = f"({a} >> 32) & _M32" if shift else f"{a} & _M32"
+                    lb = f"({src} >> 32) & _M32" if shift else f"{src} & _M32"
+                    if fn is None:
+                        lane = f"u{j}{arr}{shift}"
+                        r = self.single_op(la, lb, _FP_ARITH[op], f"{arr}{shift}")
+                        e(f"{lane} = {r}")
+                    else:
+                        lane = f"{fn}({la}, {lb})"
+                    lanes.append(lane)
+                put(arr, d, f"({lanes[0]} << 32) | {lanes[1]}")
 
         elif op is Op.SQRTPS:
             d = ops[0].index
             lo, hi = self.xsrc128(ops[1])
-            e(f"lo{j} = {lo}",
-              f"hi{j} = {hi}",
-              f"xl[{d}] = (single_sqrt((lo{j} >> 32) & _M32) << 32) | single_sqrt(lo{j} & _M32)",
-              f"xh[{d}] = (single_sqrt((hi{j} >> 32) & _M32) << 32) | single_sqrt(hi{j} & _M32)")
+            put("xl", d, f"(single_sqrt(({lo} >> 32) & _M32) << 32) | single_sqrt({lo} & _M32)")
+            put("xh", d, f"(single_sqrt(({hi} >> 32) & _M32) << 32) | single_sqrt({hi} & _M32)")
 
         elif op is Op.PEXTR or op is Op.PINSR:
             lane = ops[2].value
@@ -681,14 +842,14 @@ class _RunEmitter:
                 raise Unfusable
             arr = "xl" if lane == 0 else "xh"
             if op is Op.PEXTR:
-                e(f"gpr[{ops[0].index}] = {arr}[{ops[1].index}]")
+                put("gpr", ops[0].index, reg(arr, ops[1].index))
             else:
-                e(f"{arr}[{ops[0].index}] = gpr[{ops[1].index}]")
+                put(arr, ops[0].index, reg("gpr", ops[1].index))
 
         elif op is Op.MPIRANK:
-            e(f"gpr[{ops[0].index}] = rank")
+            put("gpr", ops[0].index, "rank")
         elif op is Op.MPISIZE:
-            e(f"gpr[{ops[0].index}] = size")
+            put("gpr", ops[0].index, "size")
 
         elif op in (Op.ALLRED, Op.ALLREDSS, Op.BCASTSD, Op.BARRIER):
             # Local no-ops at size 1 (cost only); multi-rank collectives
@@ -704,8 +865,8 @@ class _RunEmitter:
                 raise Unfusable
             if ops[1].value not in (RED_SUM, RED_MIN, RED_MAX):
                 raise Unfusable
-            e(f"a{j} = {_addr_expr(ops[0])}",
-              f"n{j} = gpr[{ops[2].index}]")
+            e(f"a{j} = {self.addr(ops[0])}",
+              f"n{j} = {reg('gpr', ops[2].index)}")
             self.guard(
                 f"not (0 <= a{j} and a{j} + n{j} <= top)",
                 self.ft(f'f"vector collective out of bounds: {{a{j}}}+{{n{j}}}"'),
@@ -728,18 +889,20 @@ class _RunEmitter:
         constant; taken branches add the cost model's extra.
         """
         op = instr.opcode
-        j = self.j
         e = self.emit
         total = self.cycles + cost
 
         if op is Op.JMP:
+            self.flush()
             e(f"cyc[0] += {total + branch_extra}",
               "return targets[0]")
             self.j += 1
             return 1
 
         if op in _COND_EXPR:
-            e(f"if {_COND_EXPR[op]}:",
+            z, lt, unord = self.flags or _LIST_FLAGS
+            self.flush()
+            e(f"if {_COND_EXPR[op].format(z=z, l=lt, u=unord)}:",
               f"    cyc[0] += {total + branch_extra}",
               "    return targets[0]",
               f"cyc[0] += {total}",
@@ -748,21 +911,22 @@ class _RunEmitter:
             return 1
 
         if op is Op.CALL:
-            e("spc = gpr[15] - 1")
+            e(f"spc = {self.reg('gpr', 15)} - 1")
             self.guard("spc < limit", self.ft('"stack overflow on call"'))
-            e("mem[spc] = targets[1]",
-              "gpr[15] = spc",
-              f"cyc[0] += {total}",
+            e("mem[spc] = targets[1]")
+            self.set("gpr", 15, "spc")
+            self.flush()
+            e(f"cyc[0] += {total}",
               "return targets[0]")
             self.j += 1
             return 2
 
         if op is Op.RET:
-            e("spr = gpr[15]")
+            e(f"spr = {self.reg('gpr', 15)}")
             self.guard("spr >= top", self.ft('"stack underflow on ret"'))
-            e("ra = mem[spr]",
-              "gpr[15] = spr + 1",
-              "tr = a2i.get(ra)")
+            e("ra = mem[spr]")
+            self.set("gpr", 15, "spr + 1")
+            e("tr = a2i.get(ra)")
             self.guard(
                 "tr is None",
                 self.ft('f"return to non-instruction address {ra:#x}"'),
@@ -782,7 +946,7 @@ MIN_RUN = 2
 
 _FACTORY_SIG = (
     "def _factory(gpr, mem, xl, xh, flags, outputs, rng, cyc, sl, "
-    "limit, top, a2i, tail, targets, rank, size, halt):"
+    "limit, top, a2i, tail, bq, bd, bi, bf, targets, rank, size, halt):"
 )
 
 #: cost model -> {(run template bytes, terminator opcode, size==1):
@@ -845,7 +1009,10 @@ def _compile_run(instrs, costs, start, k_members, term_i, size, branch_extra):
             em.instruction(instrs[i], costs[i])
         if term_i >= 0:
             em.terminator(instrs[term_i], costs[term_i], branch_extra)
-        src = _assemble(em, term_i < 0 and not em.halted)
+        open_ended = term_i < 0 and not em.halted
+        if open_ended:
+            em.flush()
+        src = _assemble(em, open_ended)
     except Unfusable:
         return None
     ns: dict = {}
@@ -899,7 +1066,7 @@ def vm_state(vm) -> tuple:
     return (
         vm.gpr, vm.mem, vm.xmm_lo, vm.xmm_hi, vm.flags, vm.outputs,
         vm.rng, vm._cyc, vm._sl, vm.stack_limit, len(vm.mem),
-        vm._addr2idx, vm._fused_tail,
+        vm._addr2idx, vm._fused_tail, *vm._scratch,
     )
 
 

@@ -484,6 +484,8 @@ class VM:
         #: segment path: each placed segment's cache entry and first index
         self._seg_entries: list = []
         self._seg_starts: list = []
+        #: this VM's float/bits conversion scratch views (fused runs only)
+        self._scratch = fuse.scratch_views()
         #: leading arguments of every fused-run factory bound to this VM
         self._run_state = fuse.vm_state(self)
         self._load(program, segments)

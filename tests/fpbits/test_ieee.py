@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.fpbits import ieee
+from repro.fpbits import ieee, narrow
 
 
 finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
@@ -125,6 +125,31 @@ class TestDoubleArithmetic:
         lo = ieee.bits_to_double(ieee.double_min(bits_a, bits_b))
         hi = ieee.bits_to_double(ieee.double_max(bits_a, bits_b))
         assert lo <= hi
+
+
+class TestCommutativeNan:
+    """A sum or product with a NaN operand carries the first NaN
+    operand's payload, quieted, on every call.  CPython's float ``+``
+    and ``*`` choose the operand by code path, and a call site's first
+    calls take another path than its specialized later ones."""
+
+    @pytest.mark.parametrize(
+        "fn,a,b,want",
+        [
+            (ieee.double_add, 0x7FF8000000000001, 0xFFF8000000000002, 0x7FF8000000000001),
+            (ieee.double_mul, 0x7FF0000000000001, 0x7FF8000000000002, 0x7FF8000000000001),
+            (ieee.double_add, 0x3FF0000000000000, 0xFFF0000000000003, 0xFFF8000000000003),
+            (ieee.single_add, 0x7FC00001, 0xFFC00002, 0x7FC00001),
+            (ieee.single_mul, 0xFF800001, 0x7FC00002, 0xFFC00001),
+            (narrow.bf16_add, 0x7FC1, 0xFFC2, 0x7FC1),
+            (narrow.bf16_mul, 0xFF81, 0x7FC2, 0xFFC1),
+            (narrow.f16_add, 0xFE01, 0x7E02, 0xFE00),
+            (narrow.f16_mul, 0x7E01, 0xFE02, 0x7E00),
+        ],
+        ids=lambda v: getattr(v, "__name__", None) or hex(v),
+    )
+    def test_first_nan_operand_wins_on_every_call(self, fn, a, b, want):
+        assert [fn(a, b) for _ in range(20)] == [want] * 20
 
 
 class TestSingleArithmetic:

@@ -10,9 +10,10 @@ Two guarantees, checked exhaustively over :data:`repro.isa.opcodes.Op`:
 2. **Dynamic conformance** — for every opcode, every signature
    alternative, and every operand-letter choice, a minimal program
    exercising that exact shape executes bit-identically on the fused and
-   reference paths (same outputs, cycles, steps — or the same trap), and
-   the shape actually lands inside a fused run, so the template is
-   proven compiled and correct rather than silently falling back.
+   reference paths (same outputs, cycles, steps — or the same trap — and
+   the same final registers, flags, rng and memory), and the shape
+   actually lands inside a fused run, so the template is proven compiled
+   and correct rather than silently falling back.
 
 The only sanctioned fallbacks are *dynamic*, not per-opcode: collectives
 at ``size > 1`` (they yield to the rank scheduler) and the rare operand
@@ -31,6 +32,7 @@ from repro.isa.opcodes import OPCODE_INFO
 from repro.vm import VM
 from repro.vm.errors import VmTrap
 from repro.vm.fuse import _MEMBER_OPS, _TERMINATORS
+from tests.vm.conftest import machine_state
 
 
 def test_every_opcode_is_claimed_by_the_fuser():
@@ -102,7 +104,11 @@ def _terminator_program(op):
 
 
 def _run_both(program):
-    """(fused VM, reference VM, outcome) — outcome is a result or trap."""
+    """(fused VM, reference VM, outcome) — outcome is a result or trap.
+
+    The final machine state must match too, after HALT and after a trap:
+    a store a fused run sinks past a guard or an exit would otherwise
+    pass unnoticed."""
     results = []
     vms = []
     for fused in (True, False):
@@ -112,6 +118,7 @@ def _run_both(program):
             results.append(("ok", vm.run()))
         except VmTrap as exc:
             results.append(("trap", (str(exc), exc.addr)))
+    assert machine_state(vms[0]) == machine_state(vms[1])
     return vms[0], vms[1], results[0], results[1]
 
 
